@@ -9,7 +9,7 @@ weights calibrated from validation metrics.
 from .attention import (AttentionVectors, SimilarityGrid, apply_attention,
                         attention_weights, cosine_matrix, edit_distance,
                         marginal_sums, position_weights, weighted_pair_matrices)
-from .cnn import (CnnParams, TrainConfig, cnn_forward, cnn_train,
+from .cnn import (CnnParams, cnn_forward, cnn_train,
                   gradient_check, init_params, load_cnn_params, save_cnn_params)
 from .corpus import (BINARY, GRADED, ONE_IS_SIMILAR, ROLES, ZERO_IS_SIMILAR,
                      Dataset, LabeledPair, Sentence, Token,
@@ -27,6 +27,7 @@ from .fusion import (DEFAULT_WEIGHTS, DIFFERENT, LEARNED, SIMILAR,
 from .jaccard import CoOccurrence, co_occurrence, component_weight, jaccard_score
 from .metrics import (MetricReport, confusion_counts, prf_metrics,
                       rank_correlations)
+from .nn import TrainConfig
 from .pipeline import (ModelBundle, PairScores, calibrate, component_scores,
                        evaluate, load_bundle, save_bundle, score_pair,
                        score_with_bundle)

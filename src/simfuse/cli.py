@@ -10,10 +10,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import pipeline
-from .cnn import DEFAULT_N_MAX, TrainConfig, cnn_train
+from .cnn import DEFAULT_N_MAX, cnn_train
 from .corpus import (BINARY, GRADED, ONE_IS_SIMILAR, ZERO_IS_SIMILAR, Dataset,
                      parse_pair_file)
 from .embedding import load_text_embeddings
@@ -21,6 +21,7 @@ from .errors import ConfigError, FormatError, SimfuseError
 from .fusion import (DEFAULT_WEIGHTS, LEARNED, WEIGHTED_SUM, FusionParams,
                      train_fusion)
 from .metrics import MetricReport
+from .nn import TrainConfig
 from .tfidf import build_stats
 
 EMBEDDINGS_ENV_VAR = "SIMFUSE_EMBEDDINGS"
@@ -39,16 +40,15 @@ class CliConfig:
     label_convention: str = ONE_IS_SIMILAR
     fusion_mode: str = LEARNED
     weighting_factor: str = "accuracy"
+    train_config: TrainConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        self.train_config = TrainConfig(
+            learning_rate=self.learning_rate, epochs=self.epochs,
+            batch_size=self.batch_size, seed=self.seed,
+        )
         if self.label_convention not in (ONE_IS_SIMILAR, ZERO_IS_SIMILAR):
             raise ConfigError(f"unknown label_convention {self.label_convention!r}")
         if self.fusion_mode not in (WEIGHTED_SUM, LEARNED):
@@ -109,8 +109,11 @@ def _resolve_embeddings(args: argparse.Namespace, config: CliConfig) -> str:
 
 
 def _load_pairs(path: str, label_kind: str, convention: str) -> Dataset:
-    with open(path, encoding="utf-8") as stream:
-        return parse_pair_file(stream, label_kind, convention)
+    try:
+        with open(path, encoding="utf-8") as stream:
+            return parse_pair_file(stream, label_kind, convention)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _fmt(x: float) -> str:
@@ -124,11 +127,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     stats = build_stats(dataset)
     with open(embeddings_path, encoding="utf-8") as stream:
         table = load_text_embeddings(stream)
-    train_config = TrainConfig(
-        learning_rate=config.learning_rate, epochs=config.epochs,
-        batch_size=config.batch_size, seed=config.seed,
-    )
-    cnn_params, cnn_losses = cnn_train(dataset, table, train_config, n_max=config.n_max)
+    cnn_params, cnn_losses = cnn_train(dataset, table, config.train_config,
+                                       n_max=config.n_max)
     for epoch, loss in enumerate(cnn_losses, start=1):
         print(f"cnn_epoch\t{epoch}\t{_fmt(loss)}")
 
@@ -140,7 +140,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     weights = pipeline.weights_from_scores(triples, gold, config.weighting_factor)
 
     fusion_params, fusion_losses = train_fusion(
-        triples, [pair.label for pair in dataset], weights, train_config)
+        triples, [pair.label for pair in dataset], weights, config.train_config)
     for epoch, loss in enumerate(fusion_losses, start=1):
         print(f"fusion_epoch\t{epoch}\t{_fmt(loss)}")
     if config.fusion_mode == WEIGHTED_SUM:

@@ -6,21 +6,24 @@ positions over true tokens only, so zero padding never reaches the
 pooling stage), max-over-time pooling yields one feature vector per
 sentence, and a small dense head scores the symmetric combination
 (|f_A - f_B|, f_A * f_B).  Everything is plain numpy; gradients are
-implemented by hand and verifiable against central differences.
+implemented by hand and verifiable against central differences.  The
+loss, the logistic output and the SGD loop come from ``nn.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
 from .attention import weighted_pair_matrices
 from .corpus import BINARY, Dataset
-from .embedding import EmbeddingTable, SentenceMatrix
-from .errors import ConfigError, FormatError, LabelKindError
+from .embedding import (EmbeddingTable, SentenceMatrix, format_row, parse_int,
+                        parse_row)
+from .errors import FormatError, LabelKindError
+from .nn import TrainConfig, bce_from_logit, sigmoid, sgd
 
 DEFAULT_FILTERS = 32
 DEFAULT_KERNEL_WIDTH = 3
@@ -29,6 +32,7 @@ DEFAULT_N_MAX = 32
 
 _CNN_MAGIC = "simfuse-cnn"
 _FORMAT_VERSION = "v1"
+_TENSORS = ("filters", "filter_bias", "dense_w", "dense_b", "out_w", "out_b")
 
 
 @dataclass(frozen=True)
@@ -71,22 +75,6 @@ class CnnParams:
     @property
     def hidden(self) -> int:
         return self.dense_b.shape[0]
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.05
-    epochs: int = 50
-    batch_size: int = 16
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
 
 
 def init_params(dim: int, n_filters: int = DEFAULT_FILTERS,
@@ -154,22 +142,9 @@ def _forward(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix) -> dict:
     }
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _bce_from_logit(logit: float, label: float) -> float:
-    # softplus(logit) - label*logit, evaluated stably
-    softplus = max(logit, 0.0) + math.log1p(math.exp(-abs(logit)))
-    return softplus - label * logit
-
-
 def cnn_forward(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix) -> float:
     """Similarity score in (0, 1); exactly symmetric in its two inputs."""
-    return _sigmoid(_forward(params, a, b)["logit"])
+    return sigmoid(_forward(params, a, b)["logit"])
 
 
 def _conv_backward(params: CnnParams, conv: dict, dfeats: np.ndarray,
@@ -186,8 +161,8 @@ def loss_and_gradients(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix,
                        label: float) -> tuple[float, dict]:
     """Cross-entropy loss for one pair and its analytic parameter gradients."""
     cache = _forward(params, a, b)
-    loss = _bce_from_logit(cache["logit"], label)
-    dlogit = _sigmoid(cache["logit"]) - label
+    loss = bce_from_logit(cache["logit"], label)
+    dlogit = sigmoid(cache["logit"]) - label
 
     dhidden = dlogit * params.out_w
     dhidden_pre = dhidden * (cache["hidden_pre"] > 0.0)
@@ -210,18 +185,6 @@ def loss_and_gradients(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix,
     return loss, grads
 
 
-def _apply_update(params: CnnParams, grads: dict, lr: float) -> CnnParams:
-    return replace(
-        params,
-        filters=params.filters - lr * grads["filters"],
-        filter_bias=params.filter_bias - lr * grads["filter_bias"],
-        dense_w=params.dense_w - lr * grads["dense_w"],
-        dense_b=params.dense_b - lr * grads["dense_b"],
-        out_w=params.out_w - lr * grads["out_w"],
-        out_b=params.out_b - lr * grads["out_b"],
-    )
-
-
 def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
               n_filters: int = DEFAULT_FILTERS,
               kernel_width: int = DEFAULT_KERNEL_WIDTH,
@@ -241,42 +204,12 @@ def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
     ]
     params = init_params(table.dim, n_filters=n_filters, kernel_width=kernel_width,
                          hidden=hidden, seed=config.seed)
-    rng = np.random.default_rng(config.seed)
-    n = len(inputs)
-    epoch_losses: list[float] = []
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            summed: dict | None = None
-            for idx in batch:
-                mat_a, mat_b, label = inputs[idx]
-                loss, grads = loss_and_gradients(params, mat_a, mat_b, label)
-                total += loss
-                if summed is None:
-                    summed = grads
-                else:
-                    for key in summed:
-                        summed[key] += grads[key]
-            assert summed is not None
-            scale = 1.0 / len(batch)
-            for key in summed:
-                summed[key] *= scale
-            params = _apply_update(params, summed, config.learning_rate)
-        epoch_losses.append(total / n)
-    return params, epoch_losses
+    return sgd(params, lambda p, i: loss_and_gradients(p, *inputs[i]), len(inputs),
+               config, np.random.default_rng(config.seed))
 
 
 def _param_items(params: CnnParams) -> list[tuple[str, np.ndarray]]:
-    return [
-        ("filters", params.filters),
-        ("filter_bias", params.filter_bias),
-        ("dense_w", params.dense_w),
-        ("dense_b", params.dense_b),
-        ("out_w", params.out_w),
-        ("out_b", np.array([params.out_b])),
-    ]
+    return [(name, np.atleast_1d(getattr(params, name))) for name in _TENSORS]
 
 
 def _with_tensor(params: CnnParams, name: str, tensor: np.ndarray) -> CnnParams:
@@ -295,10 +228,10 @@ def numeric_gradients(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix,
         for i in range(flat.size):
             bumped = tensor.copy()
             bumped.ravel()[i] = flat[i] + epsilon
-            loss_hi = _bce_from_logit(
+            loss_hi = bce_from_logit(
                 _forward(_with_tensor(params, name, bumped), a, b)["logit"], label)
             bumped.ravel()[i] = flat[i] - epsilon
-            loss_lo = _bce_from_logit(
+            loss_lo = bce_from_logit(
                 _forward(_with_tensor(params, name, bumped), a, b)["logit"], label)
             grad.ravel()[i] = (loss_hi - loss_lo) / (2.0 * epsilon)
         grads[name] = grad
@@ -322,8 +255,6 @@ def gradient_check(params: CnnParams, example: tuple[SentenceMatrix, SentenceMat
         raise ValueError("epsilon must be positive")
     mat_a, mat_b, label = example
     _, analytic = loss_and_gradients(params, mat_a, mat_b, label)
-    analytic = dict(analytic)
-    analytic["out_b"] = np.array([analytic["out_b"]])
     numeric = numeric_gradients(params, mat_a, mat_b, label, epsilon)
     return max_relative_error(analytic, numeric)
 
@@ -337,18 +268,19 @@ def save_cnn_params(params: CnnParams, stream: IO[str]) -> None:
     stream.write(header + "\n")
     stream.write(f"rng_seed {params.rng_seed}\n")
     for name, tensor in _param_items(params):
-        values = " ".join(format(x, ".17g") for x in tensor.ravel())
-        stream.write(f"{name} {values}\n")
+        stream.write(format_row(name, tensor.ravel()))
 
 
 def load_cnn_params(stream: IO[str]) -> CnnParams:
-    lines = [line.rstrip("\n") for line in stream if line.strip()]
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(stream, start=1)
+             if line.strip()]
     if not lines:
         raise FormatError("empty CNN parameter file")
-    header = lines[0].split()
+    header = lines[0][1].split()
     if len(header) != 6 or header[0] != _CNN_MAGIC or header[1] != _FORMAT_VERSION:
-        raise FormatError(f"bad CNN parameter header: {lines[0]!r}")
-    n_filters, kernel_width, dim, hidden = (int(x) for x in header[2:])
+        raise FormatError(f"bad CNN parameter header: {lines[0][1]!r}")
+    n_filters, kernel_width, dim, hidden = (
+        parse_int(x, lines[0][0], "a header size") for x in header[2:])
     shapes = {
         "filters": (n_filters, kernel_width, dim),
         "filter_bias": (n_filters,),
@@ -359,27 +291,17 @@ def load_cnn_params(stream: IO[str]) -> CnnParams:
     }
     seed = 0
     tensors: dict[str, np.ndarray] = {}
-    for line in lines[1:]:
+    for lineno, line in lines[1:]:
         name, _, rest = line.partition(" ")
         if name == "rng_seed":
-            seed = int(rest)
+            seed = parse_int(rest, lineno, "rng_seed")
             continue
         if name not in shapes:
-            raise FormatError(f"unknown CNN parameter section {name!r}")
-        values = np.array([float(x) for x in rest.split()], dtype=np.float64)
-        expected = int(np.prod(shapes[name]))
-        if values.size != expected:
-            raise FormatError(f"section {name!r} has {values.size} values, expected {expected}")
-        tensors[name] = values.reshape(shapes[name])
+            raise FormatError(f"line {lineno}: unknown CNN parameter section {name!r}")
+        shape = shapes[name]
+        tensors[name] = parse_row(rest, lineno, math.prod(shape)).reshape(shape)
     missing = set(shapes) - set(tensors)
     if missing:
         raise FormatError(f"missing CNN parameter sections: {sorted(missing)}")
-    return CnnParams(
-        filters=tensors["filters"],
-        filter_bias=tensors["filter_bias"],
-        dense_w=tensors["dense_w"],
-        dense_b=tensors["dense_b"],
-        out_w=tensors["out_w"],
-        out_b=float(tensors["out_b"][0]),
-        rng_seed=seed,
-    )
+    out_b = float(tensors.pop("out_b")[0])
+    return CnnParams(**tensors, out_b=out_b, rng_seed=seed)

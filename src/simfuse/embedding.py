@@ -63,22 +63,53 @@ class SentenceMatrix:
         return self.rows[: self.true_length]
 
 
+def format_row(name: str | None, values: Iterable[float]) -> str:
+    """One ``name v1 ... vn`` line (no name when None); ``.17g`` values
+    round-trip float64 bitwise."""
+    text = " ".join(format(x, ".17g") for x in values)
+    return f"{text}\n" if name is None else f"{name} {text}\n"
+
+
+def parse_row(line: str, lineno: int, expected_count: int | None) -> np.ndarray:
+    """The values of a row whose name the caller has split off; FormatError
+    naming ``lineno`` on a wrong count (None: any) or a non-numeric or
+    non-finite value."""
+    fields = line.split()
+    if expected_count is not None and len(fields) != expected_count:
+        raise FormatError(f"line {lineno}: expected {expected_count} values, got {len(fields)}")
+    try:
+        values = np.array(fields, dtype=np.float64)
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-numeric value") from None
+    if not np.isfinite(values).all():
+        raise FormatError(f"line {lineno}: non-finite value")
+    return values
+
+
+def parse_int(text: str, lineno: int, what: str) -> int:
+    """``text`` as an integer; FormatError naming ``lineno`` and ``what`` if not."""
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"line {lineno}: {what} must be an integer, got {text!r}") from None
+
+
 def load_text_embeddings(stream: IO[str] | Iterable[str],
                          oov_seed: int = DEFAULT_OOV_SEED) -> EmbeddingTable:
     """Load a word2vec-style text file: optional ``count dim`` header, then
     ``surface v1 ... vd`` lines.
 
     The header count is not enforced; duplicate surfaces keep the last
-    vector.  Raises FormatError on inconsistent dimensions or non-numeric
-    components, naming the line.
+    vector.  Raises FormatError on inconsistent dimensions, non-numeric or
+    non-finite components, naming the line.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     for lineno, line in enumerate(stream, start=1):
-        parts = line.split()
+        parts = line.split(maxsplit=1)
         if not parts:
             continue
-        if lineno == 1 and len(parts) == 2:
+        if lineno == 1 and len(line.split()) == 2:
             try:
                 _count, dim = int(parts[0]), int(parts[1])
                 if dim < 1:
@@ -86,20 +117,12 @@ def load_text_embeddings(stream: IO[str] | Iterable[str],
                 continue
             except ValueError:
                 pass  # not a header; fall through as a d=1 vector line
-        surface, components = parts[0], parts[1:]
+        vec = parse_row(parts[1] if len(parts) == 2 else "", lineno, dim)
         if dim is None:
-            dim = len(components)
+            dim = vec.size
             if dim == 0:
                 raise FormatError(f"line {lineno}: no vector components")
-        elif len(components) != dim:
-            raise FormatError(
-                f"line {lineno}: expected {dim} components, got {len(components)}"
-            )
-        try:
-            vec = np.array([float(c) for c in components], dtype=np.float64)
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-numeric vector component") from None
-        vectors[surface] = vec
+        vectors[parts[0]] = vec
     if dim is None:
         raise FormatError("embedding file contains no vectors")
     return EmbeddingTable(dim=dim, vectors=vectors, oov_seed=oov_seed)
@@ -109,8 +132,7 @@ def save_text_embeddings(table: EmbeddingTable, stream: IO[str]) -> None:
     """Write a table back out in the text format (sorted, with header)."""
     stream.write(f"{len(table.vectors)} {table.dim}\n")
     for surface in sorted(table.vectors):
-        values = " ".join(format(x, ".17g") for x in table.vectors[surface])
-        stream.write(f"{surface} {values}\n")
+        stream.write(format_row(surface, table.vectors[surface]))
 
 
 def _oov_vector(surface: str, dim: int, seed: int) -> np.ndarray:

@@ -4,7 +4,7 @@ the final classification rule.
 Per-model validation metrics are softmax-normalized into a probability
 triple (alpha, beta, gamma) weighting the Jaccard, CNN and TF-IDF scores.
 Fusion is either the plain weighted sum or a small trained combiner over
-the weighted triple.
+the weighted triple, trained with the loss and the SGD loop of ``nn.py``.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .cnn import TrainConfig
+from .embedding import format_row, parse_row
 from .errors import ConfigError, DegenerateData, DimensionError, FormatError
+from .nn import TrainConfig, bce_from_logit, sigmoid, sgd
 
 SIMILAR = "similar"
 DIFFERENT = "different"
@@ -26,6 +27,7 @@ LEARNED = "learned"
 
 _FUSION_HEADER = "simfuse-fusion v1"
 _COMBINER_HIDDEN = 4
+_NET_SECTIONS = ("hidden_w", "hidden_b", "out_w", "out_b")
 
 
 @dataclass(frozen=True)
@@ -87,18 +89,25 @@ def calibrate_weights(metric_jaccard: float, metric_w2vcnn: float,
     return FusionWeights(alpha=float(alpha), beta=float(beta), gamma=float(gamma))
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def _net_forward(net: FusionNet, triple: np.ndarray) -> dict:
     hidden_pre = net.hidden_w @ triple + net.hidden_b
     hidden = np.maximum(hidden_pre, 0.0)
     logit = float(net.out_w @ hidden + net.out_b)
     return {"hidden_pre": hidden_pre, "hidden": hidden, "logit": logit}
+
+
+def _net_loss_and_grads(net: FusionNet, triple: np.ndarray,
+                        label: float) -> tuple[float, dict]:
+    cache = _net_forward(net, triple)
+    dlogit = sigmoid(cache["logit"]) - label
+    dhidden = dlogit * net.out_w * (cache["hidden_pre"] > 0.0)
+    grads = {
+        "hidden_w": np.outer(dhidden, triple),
+        "hidden_b": dhidden,
+        "out_w": dlogit * cache["hidden"],
+        "out_b": dlogit,
+    }
+    return bce_from_logit(cache["logit"], label), grads
 
 
 def fuse(scores: tuple[float, float, float], weights: FusionWeights,
@@ -110,7 +119,7 @@ def fuse(scores: tuple[float, float, float], weights: FusionWeights,
         return float(min(1.0, weighted.sum()))
     if params.net is None:
         raise ConfigError("learned fusion mode requires a trained combiner")
-    return _sigmoid(_net_forward(params.net, weighted)["logit"])
+    return sigmoid(_net_forward(params.net, weighted)["logit"])
 
 
 def train_fusion(triples: Sequence[tuple[float, float, float]],
@@ -131,41 +140,14 @@ def train_fusion(triples: Sequence[tuple[float, float, float]],
     rng = np.random.default_rng(config.seed)
     h = _COMBINER_HIDDEN
     bound_in, bound_out = 1.0 / math.sqrt(3), 1.0 / math.sqrt(h)
-    hidden_w = rng.uniform(-bound_in, bound_in, size=(h, 3))
-    hidden_b = rng.uniform(-bound_in, bound_in, size=h)
-    out_w = rng.uniform(-bound_out, bound_out, size=h)
-    out_b = float(rng.uniform(-bound_out, bound_out, size=1)[0])
-
-    n = len(inputs)
-    epoch_losses: list[float] = []
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            g_hw = np.zeros_like(hidden_w)
-            g_hb = np.zeros_like(hidden_b)
-            g_ow = np.zeros_like(out_w)
-            g_ob = 0.0
-            for idx in batch:
-                x, y = inputs[idx], target[idx]
-                hidden_pre = hidden_w @ x + hidden_b
-                hidden = np.maximum(hidden_pre, 0.0)
-                logit = float(out_w @ hidden + out_b)
-                total += max(logit, 0.0) + math.log1p(math.exp(-abs(logit))) - y * logit
-                dlogit = _sigmoid(logit) - y
-                g_ow += dlogit * hidden
-                g_ob += dlogit
-                dh = dlogit * out_w * (hidden_pre > 0.0)
-                g_hw += np.outer(dh, x)
-                g_hb += dh
-            lr = config.learning_rate / len(batch)
-            hidden_w -= lr * g_hw
-            hidden_b -= lr * g_hb
-            out_w -= lr * g_ow
-            out_b -= lr * g_ob
-        epoch_losses.append(total / n)
-    net = FusionNet(hidden_w=hidden_w, hidden_b=hidden_b, out_w=out_w, out_b=out_b)
+    net = FusionNet(
+        hidden_w=rng.uniform(-bound_in, bound_in, size=(h, 3)),
+        hidden_b=rng.uniform(-bound_in, bound_in, size=h),
+        out_w=rng.uniform(-bound_out, bound_out, size=h),
+        out_b=float(rng.uniform(-bound_out, bound_out, size=1)[0]),
+    )
+    net, epoch_losses = sgd(net, lambda p, i: _net_loss_and_grads(p, inputs[i], target[i]),
+                            len(inputs), config, rng)
     return FusionParams(mode=LEARNED, net=net), epoch_losses
 
 
@@ -183,46 +165,34 @@ def save_fusion_params(weights: FusionWeights, params: FusionParams,
                        stream: IO[str]) -> None:
     """Header, weight triple, then combiner tensors for the learned mode."""
     stream.write(_FUSION_HEADER + "\n")
-    stream.write(" ".join(format(w, ".17g") for w in weights.as_array()) + "\n")
+    stream.write(format_row(None, weights.as_array()))
     if params.mode == LEARNED and params.net is not None:
-        net = params.net
-        for name, tensor in [
-            ("hidden_w", net.hidden_w.ravel()),
-            ("hidden_b", net.hidden_b),
-            ("out_w", net.out_w),
-            ("out_b", np.array([net.out_b])),
-        ]:
-            values = " ".join(format(x, ".17g") for x in tensor)
-            stream.write(f"{name} {values}\n")
+        for name in _NET_SECTIONS:
+            stream.write(format_row(name, np.ravel(getattr(params.net, name))))
 
 
 def load_fusion_params(stream: IO[str]) -> tuple[FusionWeights, FusionParams]:
-    lines = [line.rstrip("\n") for line in stream if line.strip()]
-    if not lines or lines[0] != _FUSION_HEADER:
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(stream, start=1)
+             if line.strip()]
+    if not lines or lines[0][1] != _FUSION_HEADER:
         raise FormatError("bad fusion parameter header")
     if len(lines) < 2:
         raise FormatError("fusion parameter file missing the weight triple")
-    try:
-        alpha, beta, gamma = (float(x) for x in lines[1].split())
-    except ValueError:
-        raise FormatError("fusion weight line must hold three numbers") from None
-    weights = FusionWeights(alpha=alpha, beta=beta, gamma=gamma)
+    weights = FusionWeights(*parse_row(lines[1][1], lines[1][0], 3).tolist())
     if len(lines) == 2:
         return weights, FusionParams(mode=WEIGHTED_SUM, net=None)
-    sections: dict[str, np.ndarray] = {}
-    for line in lines[2:]:
+    sections: dict[str, tuple[int, str]] = {}
+    for lineno, line in lines[2:]:
         name, _, rest = line.partition(" ")
-        sections[name] = np.array([float(x) for x in rest.split()], dtype=np.float64)
-    missing = {"hidden_w", "hidden_b", "out_w", "out_b"} - set(sections)
+        if name not in _NET_SECTIONS:
+            raise FormatError(f"line {lineno}: unknown fusion net section {name!r}")
+        sections[name] = (lineno, rest)
+    missing = set(_NET_SECTIONS) - set(sections)
     if missing:
         raise FormatError(f"missing fusion net sections: {sorted(missing)}")
-    h = sections["hidden_b"].size
-    if sections["hidden_w"].size != 3 * h:
-        raise FormatError("fusion hidden weight size mismatch")
-    net = FusionNet(
-        hidden_w=sections["hidden_w"].reshape(h, 3),
-        hidden_b=sections["hidden_b"],
-        out_w=sections["out_w"],
-        out_b=float(sections["out_b"][0]),
-    )
-    return weights, FusionParams(mode=LEARNED, net=net)
+    h = len(sections["hidden_b"][1].split())
+    shapes = {"hidden_w": (h, 3), "hidden_b": (h,), "out_w": (h,), "out_b": (1,)}
+    tensors = {name: parse_row(rest, lineno, math.prod(shapes[name])).reshape(shapes[name])
+               for name, (lineno, rest) in sections.items()}
+    out_b = float(tensors.pop("out_b")[0])
+    return weights, FusionParams(mode=LEARNED, net=FusionNet(**tensors, out_b=out_b))

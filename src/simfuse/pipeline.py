@@ -7,15 +7,15 @@ text format), ``cnn.params``, ``fusion.params`` and ``stats.tsv``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
 
 from . import attention, cnn, fusion, jaccard, metrics, tfidf
 from .corpus import BINARY, Dataset, LabeledPair
 from .embedding import (DEFAULT_OOV_SEED, EmbeddingTable, load_text_embeddings,
-                        save_text_embeddings)
-from .errors import EmptyEval, FormatError, LabelKindError
+                        parse_int, save_text_embeddings)
+from .errors import EmptyEval, FormatError, LabelKindError, SimfuseError
 
 CALIBRATION_FACTORS = ("accuracy", "precision", "recall", "f1")
 
@@ -129,31 +129,41 @@ def save_stats(stats: tfidf.CorpusStats, stream: IO[str]) -> None:
 
 
 def load_stats(stream: IO[str]) -> tfidf.CorpusStats:
-    lines = [line.rstrip("\n") for line in stream if line.strip()]
-    if not lines or not lines[0].startswith("#total_pairs="):
+    lines = [(lineno, line.rstrip("\n")) for lineno, line in enumerate(stream, start=1)
+             if line.strip()]
+    if not lines or not lines[0][1].startswith("#total_pairs="):
         raise FormatError("stats file must start with a #total_pairs= header")
-    total = int(lines[0].split("=", 1)[1])
+    total = parse_int(lines[0][1].split("=", 1)[1], lines[0][0], "#total_pairs")
     freq: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != 2:
-            raise FormatError(f"stats line {lineno}: expected term<TAB>doc_freq")
-        freq[parts[0]] = int(parts[1])
+            raise FormatError(f"line {lineno}: expected term<TAB>doc_freq")
+        freq[parts[0]] = parse_int(parts[1], lineno, "doc_freq")
     return tfidf.CorpusStats(total_pairs=total, pair_doc_freq=freq)
+
+
+# (file name, writer, reader) per bundle file: a writer saves its part of
+# a bundle to a stream, a reader returns the ModelBundle fields it restores.
+_BUNDLE_FILES = (
+    ("embeddings.txt", lambda b, f: save_text_embeddings(b.table, f),
+     lambda f, oov_seed: {"table": load_text_embeddings(f, oov_seed=oov_seed)}),
+    ("cnn.params", lambda b, f: cnn.save_cnn_params(b.cnn_params, f),
+     lambda f, _: {"cnn_params": cnn.load_cnn_params(f)}),
+    ("fusion.params", lambda b, f: fusion.save_fusion_params(b.weights, b.fusion_params, f),
+     lambda f, _: dict(zip(("weights", "fusion_params"), fusion.load_fusion_params(f)))),
+    ("stats.tsv", lambda b, f: save_stats(b.stats, f),
+     lambda f, _: {"stats": load_stats(f)}),
+)
 
 
 def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     """Write the four bundle files; output is byte-deterministic."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "embeddings.txt", "w", encoding="utf-8", newline="\n") as f:
-        save_text_embeddings(bundle.table, f)
-    with open(directory / "cnn.params", "w", encoding="utf-8", newline="\n") as f:
-        cnn.save_cnn_params(bundle.cnn_params, f)
-    with open(directory / "fusion.params", "w", encoding="utf-8", newline="\n") as f:
-        fusion.save_fusion_params(bundle.weights, bundle.fusion_params, f)
-    with open(directory / "stats.tsv", "w", encoding="utf-8", newline="\n") as f:
-        save_stats(bundle.stats, f)
+    for name, writer, _ in _BUNDLE_FILES:
+        with open(directory / name, "w", encoding="utf-8", newline="\n") as f:
+            writer(bundle, f)
 
 
 def load_bundle(directory: str | Path, n_max: int = cnn.DEFAULT_N_MAX,
@@ -161,20 +171,15 @@ def load_bundle(directory: str | Path, n_max: int = cnn.DEFAULT_N_MAX,
     """Load a bundle directory written by save_bundle.
 
     ``n_max`` and ``oov_seed`` are not stored in the bundle files and must
-    match the values used at training time.
+    match the values used at training time.  A malformed, non-finite or
+    inconsistent file raises FormatError naming the file.
     """
     directory = Path(directory)
-    with open(directory / "embeddings.txt", encoding="utf-8") as f:
-        table = load_text_embeddings(f, oov_seed=oov_seed)
-    with open(directory / "cnn.params", encoding="utf-8") as f:
-        cnn_params = cnn.load_cnn_params(f)
-    with open(directory / "fusion.params", encoding="utf-8") as f:
-        weights, fusion_params = fusion.load_fusion_params(f)
-    with open(directory / "stats.tsv", encoding="utf-8") as f:
-        stats = load_stats(f)
-    return ModelBundle(stats=stats, table=table, cnn_params=cnn_params,
-                       weights=weights, fusion_params=fusion_params, n_max=n_max)
-
-
-def with_weights(bundle: ModelBundle, weights: fusion.FusionWeights) -> ModelBundle:
-    return replace(bundle, weights=weights)
+    fields: dict = {}
+    for name, _, reader in _BUNDLE_FILES:
+        try:
+            with open(directory / name, encoding="utf-8") as f:
+                fields.update(reader(f, oov_seed))
+        except (SimfuseError, ValueError) as exc:
+            raise FormatError(f"{name}: {exc}") from exc
+    return ModelBundle(n_max=n_max, **fields)
