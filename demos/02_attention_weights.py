@@ -20,14 +20,13 @@ a = tokenize("my card is locked")
 b = tokenize("card was blocked")
 mat_a = embed_sentence(table, a, n_max=6)
 mat_b = embed_sentence(table, b, n_max=6)
-print(f"A: {a.surfaces()}  ({mat_a.true_length} true rows of {mat_a.n_max})")
+print(f"A: {a.surfaces()}  (matrix {mat_a.shape}: one row per token)")
 print(f"B: {b.surfaces()}")
 
-# Each grid entry is the cosine between one token of A and one of B;
-# padding rows never enter the grid.
+# Each grid entry is the cosine between one token of A and one of B.
 grid = cosine_matrix(mat_a, mat_b)
 print("\ncosine grid (rows = A tokens, cols = B tokens):")
-print(np.array_str(grid.values, precision=3, suppress_small=True))
+print(np.array_str(grid, precision=3, suppress_small=True))
 
 # Summing rows scores each A-token by how much it resonates with all of B;
 # columns do the same for B against A.
@@ -45,10 +44,10 @@ print(f"  e.g. dist('card', 'was') = {edit_distance('card', 'was')}")
 
 # Softmax turns signal + position into probability weights, which then
 # rescale the embedding rows to produce the scorer's actual input.
-att = attention_weights(row_vec, pos_row, col_vec, pos_col)
-print(f"\nattention A: {np.round(att.row_weights, 3)} (sum {att.row_weights.sum():.6f})")
-print(f"attention B: {np.round(att.col_weights, 3)} (sum {att.col_weights.sum():.6f})")
+row_weights, col_weights = attention_weights(row_vec, pos_row, col_vec, pos_col)
+print(f"\nattention A: {np.round(row_weights, 3)} (sum {row_weights.sum():.6f})")
+print(f"attention B: {np.round(col_weights, 3)} (sum {col_weights.sum():.6f})")
 
-weighted_a = apply_attention(mat_a, att.row_weights)
-norms = np.linalg.norm(weighted_a.true_rows(), axis=1)
+weighted_a = apply_attention(mat_a, row_weights)
+norms = np.linalg.norm(weighted_a, axis=1)
 print(f"\nweighted row norms of A: {np.round(norms, 3)}")

@@ -6,17 +6,17 @@ convolutional scorer over word embeddings) are combined with per-model
 weights calibrated from validation metrics.
 """
 
-from .attention import (AttentionVectors, SimilarityGrid, apply_attention,
-                        attention_weights, cosine_matrix, edit_distance,
-                        marginal_sums, position_weights, weighted_pair_matrices)
+from .attention import (apply_attention, attention_weights, cosine_matrix,
+                        edit_distance, marginal_sums, position_weights,
+                        weighted_pair_matrices)
 from .cnn import (CnnParams, cnn_forward, cnn_train,
                   gradient_check, init_params, load_cnn_params, save_cnn_params)
 from .corpus import (BINARY, GRADED, ONE_IS_SIMILAR, ROLES, ZERO_IS_SIMILAR,
                      Dataset, LabeledPair, Sentence, Token,
                      assign_roles_heuristic, parse_annotated, parse_pair_file,
                      serialize_pairs, tokenize)
-from .embedding import (EmbeddingTable, SentenceMatrix, embed_sentence,
-                        load_text_embeddings, lookup, save_text_embeddings)
+from .embedding import (EmbeddingTable, embed_sentence, load_text_embeddings,
+                        lookup, save_text_embeddings)
 from .errors import (ConfigError, DegenerateData, DimensionError, EmptyCorpus,
                      EmptyEval, EmptySentence, FormatError, LabelKindError,
                      SimfuseError, UndefinedCorrelation)

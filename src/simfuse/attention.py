@@ -9,54 +9,35 @@ then used to rescale the sentence's embedding matrix row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import Sentence
-from .embedding import EmbeddingTable, SentenceMatrix, embed_sentence
+from .embedding import EmbeddingTable, embed_sentence
 from .errors import DimensionError
 
 
-@dataclass(frozen=True)
-class SimilarityGrid:
-    """n x m matrix of token-vector cosines over true tokens only."""
-
-    values: np.ndarray
-    n: int
-    m: int
-
-
-@dataclass(frozen=True)
-class AttentionVectors:
-    """Post-softmax token weights; each vector sums to 1, entries > 0."""
-
-    row_weights: np.ndarray  # length n, for the first sentence
-    col_weights: np.ndarray  # length m, for the second sentence
-
-
-def cosine_matrix(a: SentenceMatrix, b: SentenceMatrix) -> SimilarityGrid:
-    """Pairwise cosine similarities between the true rows of two matrices.
+def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (n, m) cosine similarities between the rows of two (L, dim)
+    sentence matrices.
 
     Zero-norm rows contribute 0 entries.  Raises DimensionError when the
     embedding dimensions differ.
     """
-    if a.dim != b.dim:
-        raise DimensionError(f"embedding dims differ: {a.dim} vs {b.dim}")
-    rows_a = a.true_rows()
-    rows_b = b.true_rows()
-    norms_a = np.linalg.norm(rows_a, axis=1)
-    norms_b = np.linalg.norm(rows_b, axis=1)
-    grid = rows_a @ rows_b.T
-    denom = np.outer(norms_a, norms_b)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        grid = np.where(denom > 0.0, grid / np.where(denom > 0.0, denom, 1.0), 0.0)
-    return SimilarityGrid(values=grid, n=a.true_length, m=b.true_length)
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
+    # overflow on huge rows yields inf/nan entries, which fuse() and the
+    # training loop reject with an error
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norms_a = np.linalg.norm(a, axis=1)
+        norms_b = np.linalg.norm(b, axis=1)
+        grid = a @ b.T
+        denom = np.outer(norms_a, norms_b)
+        return np.where(denom > 0.0, grid / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
-def marginal_sums(grid: SimilarityGrid) -> tuple[np.ndarray, np.ndarray]:
+def marginal_sums(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row sums (one per first-sentence token) and column sums."""
-    return grid.values.sum(axis=1), grid.values.sum(axis=0)
+    return grid.sum(axis=1), grid.sum(axis=0)
 
 
 def edit_distance(u: str, v: str) -> int:
@@ -108,32 +89,28 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def attention_weights(row_vec: np.ndarray, pos_row: np.ndarray,
-                      col_vec: np.ndarray, pos_col: np.ndarray) -> AttentionVectors:
-    """Softmax over the summed similarity and position signals."""
+def attention_weights(row_vec: np.ndarray, pos_row: np.ndarray, col_vec: np.ndarray,
+                      pos_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the summed similarity and position signals: the row
+    weights (first sentence) and column weights (second sentence), each
+    summing to 1 with every entry > 0."""
     if row_vec.shape != pos_row.shape:
         raise DimensionError(f"row vector lengths differ: {row_vec.shape} vs {pos_row.shape}")
     if col_vec.shape != pos_col.shape:
         raise DimensionError(f"column vector lengths differ: {col_vec.shape} vs {pos_col.shape}")
-    return AttentionVectors(
-        row_weights=_softmax(np.asarray(row_vec, dtype=np.float64) + pos_row),
-        col_weights=_softmax(np.asarray(col_vec, dtype=np.float64) + pos_col),
-    )
+    return (_softmax(np.asarray(row_vec, dtype=np.float64) + pos_row),
+            _softmax(np.asarray(col_vec, dtype=np.float64) + pos_col))
 
 
-def apply_attention(matrix: SentenceMatrix, weights: np.ndarray) -> SentenceMatrix:
-    """Scale each true row by its weight; padding rows stay zero."""
-    if weights.shape != (matrix.true_length,):
-        raise DimensionError(
-            f"expected {matrix.true_length} weights, got {weights.shape}"
-        )
-    rows = matrix.rows.copy()
-    rows[: matrix.true_length] *= weights[:, np.newaxis]
-    return SentenceMatrix(rows=rows, mask=matrix.mask.copy(), true_length=matrix.true_length)
+def apply_attention(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A new (L, dim) matrix with each row scaled by its weight."""
+    if weights.shape != (matrix.shape[0],):
+        raise DimensionError(f"expected {matrix.shape[0]} weights, got {weights.shape}")
+    return matrix * weights[:, np.newaxis]
 
 
 def weighted_pair_matrices(a: Sentence, b: Sentence, table: EmbeddingTable,
-                           n_max: int) -> tuple[SentenceMatrix, SentenceMatrix]:
+                           n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Full attention pipeline for one pair: embed both sentences, build the
     cosine grid and position terms, softmax, and weight the matrices.
 
@@ -147,5 +124,5 @@ def weighted_pair_matrices(a: Sentence, b: Sentence, table: EmbeddingTable,
     grid = cosine_matrix(mat_a, mat_b)
     row_vec, col_vec = marginal_sums(grid)
     pos_row, pos_col = position_weights(a, b)
-    att = attention_weights(row_vec, pos_row, col_vec, pos_col)
-    return apply_attention(mat_a, att.row_weights), apply_attention(mat_b, att.col_weights)
+    row_weights, col_weights = attention_weights(row_vec, pos_row, col_vec, pos_col)
+    return apply_attention(mat_a, row_weights), apply_attention(mat_b, col_weights)

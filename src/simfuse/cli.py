@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import IO, Callable, TypeVar
 
 from . import pipeline
 from .cnn import DEFAULT_N_MAX, cnn_train
@@ -25,6 +26,8 @@ from .nn import TrainConfig
 from .tfidf import build_stats
 
 EMBEDDINGS_ENV_VAR = "SIMFUSE_EMBEDDINGS"
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -108,12 +111,16 @@ def _resolve_embeddings(args: argparse.Namespace, config: CliConfig) -> str:
     return path
 
 
-def _load_pairs(path: str, label_kind: str, convention: str) -> Dataset:
+def _read(path: str, parse: Callable[[IO[str]], T]) -> T:
+    """``parse`` of the UTF-8 text file at ``path``; a decode error or a
+    FormatError ends in a FormatError that names the file."""
     try:
         with open(path, encoding="utf-8") as stream:
-            return parse_pair_file(stream, label_kind, convention)
+            return parse(stream)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -123,10 +130,9 @@ def _fmt(x: float) -> str:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     embeddings_path = _resolve_embeddings(args, config)
-    dataset = _load_pairs(args.pairs, BINARY, config.label_convention)
+    dataset = _read(args.pairs, lambda f: parse_pair_file(f, BINARY, config.label_convention))
     stats = build_stats(dataset)
-    with open(embeddings_path, encoding="utf-8") as stream:
-        table = load_text_embeddings(stream)
+    table = _read(embeddings_path, load_text_embeddings)
     cnn_params, cnn_losses = cnn_train(dataset, table, config.train_config,
                                        n_max=config.n_max)
     for epoch, loss in enumerate(cnn_losses, start=1):
@@ -139,12 +145,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     gold = [pair.label >= 0.5 for pair in dataset]
     weights = pipeline.weights_from_scores(triples, gold, config.weighting_factor)
 
-    fusion_params, fusion_losses = train_fusion(
-        triples, [pair.label for pair in dataset], weights, config.train_config)
-    for epoch, loss in enumerate(fusion_losses, start=1):
-        print(f"fusion_epoch\t{epoch}\t{_fmt(loss)}")
-    if config.fusion_mode == WEIGHTED_SUM:
-        fusion_params = FusionParams(mode=WEIGHTED_SUM, net=None)
+    fusion_params = FusionParams(mode=WEIGHTED_SUM, net=None)
+    if config.fusion_mode == LEARNED:
+        fusion_params, fusion_losses = train_fusion(
+            triples, [pair.label for pair in dataset], weights, config.train_config)
+        for epoch, loss in enumerate(fusion_losses, start=1):
+            print(f"fusion_epoch\t{epoch}\t{_fmt(loss)}")
 
     print(f"weights\t{_fmt(weights.alpha)}\t{_fmt(weights.beta)}\t{_fmt(weights.gamma)}")
     bundle = pipeline.ModelBundle(
@@ -158,7 +164,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     bundle = pipeline.load_bundle(args.model, n_max=config.n_max)
-    dataset = _load_pairs(args.pairs, BINARY, config.label_convention)
+    dataset = _read(args.pairs, lambda f: parse_pair_file(f, BINARY, config.label_convention))
     for pair in dataset:
         scores = pipeline.score_with_bundle(bundle, pair)
         if args.format == "json":
@@ -203,7 +209,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     bundle = pipeline.load_bundle(args.model, n_max=config.n_max)
     kind = GRADED if args.graded else BINARY
-    dataset = _load_pairs(args.pairs, kind, config.label_convention)
+    dataset = _read(args.pairs, lambda f: parse_pair_file(f, kind, config.label_convention))
     if args.graded:
         _check_not_binary_shaped(dataset)
     report = pipeline.evaluate(dataset, bundle)

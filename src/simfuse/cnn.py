@@ -1,13 +1,14 @@
 """Convolution + max-pooling similarity scorer over attention-weighted
 sentence matrices, with from-scratch training.
 
-Shared filters slide along the token axis of each sentence (valid
-positions over true tokens only, so zero padding never reaches the
-pooling stage), max-over-time pooling yields one feature vector per
-sentence, and a small dense head scores the symmetric combination
-(|f_A - f_B|, f_A * f_B).  Everything is plain numpy; gradients are
-implemented by hand and verifiable against central differences.  The
-loss, the logistic output and the SGD loop come from ``nn.py``.
+Shared filters slide along the token axis of each (L, d) sentence matrix
+(the L - k + 1 valid positions; a sentence shorter than the kernel width
+k gets one window zero-filled to width k), max-over-time pooling yields
+one feature vector per sentence, and a small dense head scores the
+symmetric combination (|f_A - f_B|, f_A * f_B).  Everything is plain
+numpy; gradients are implemented by hand and verifiable against central
+differences.  The loss, the logistic output and the SGD loop come from
+``nn.py``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import numpy as np
 
 from .attention import weighted_pair_matrices
 from .corpus import BINARY, Dataset
-from .embedding import (EmbeddingTable, SentenceMatrix, format_row, parse_int,
-                        parse_row)
+from .embedding import EmbeddingTable, format_row, parse_int, parse_row
 from .errors import FormatError, LabelKindError
 from .nn import TrainConfig, bce_from_logit, sigmoid, sgd
 
@@ -98,27 +98,25 @@ def init_params(dim: int, n_filters: int = DEFAULT_FILTERS,
     )
 
 
-def _windows(matrix: SentenceMatrix, k: int) -> np.ndarray:
-    """Stacked convolution windows over true tokens, shape (P, k*d).
+def _windows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Stacked convolution windows over an (L, d) matrix, shape (P, k*d):
+    window p is ``rows[p : p + k]`` flattened.
 
-    Sentences shorter than the kernel get a single window zero-padded to
-    width k; otherwise windows cover positions 0..L-k so padding never
-    enters a window.
+    A sentence shorter than the kernel gets a single window zero-padded to
+    width k; otherwise windows cover positions 0..L-k.
     """
-    length = matrix.true_length
-    rows = matrix.true_rows()
+    length, dim = rows.shape
     if length < k:
-        padded = np.zeros((k, matrix.dim))
+        padded = np.zeros((k, dim))
         padded[:length] = rows
-        return padded.reshape(1, k * matrix.dim)
+        return padded.reshape(1, k * dim)
+    # k shifted slices side by side; a few numpy calls per sentence where
+    # sliding_window_view costs more than the convolution itself
     p = length - k + 1
-    out = np.empty((p, k * matrix.dim))
-    for i in range(p):
-        out[i] = rows[i : i + k].ravel()
-    return out
+    return np.concatenate([rows[i : i + p] for i in range(k)], axis=1)
 
 
-def _conv_forward(params: CnnParams, matrix: SentenceMatrix) -> dict:
+def _conv_forward(params: CnnParams, matrix: np.ndarray) -> dict:
     windows = _windows(matrix, params.kernel_width)
     flat_filters = params.filters.reshape(params.n_filters, -1)
     pre = windows @ flat_filters.T + params.filter_bias  # (P, F)
@@ -128,7 +126,7 @@ def _conv_forward(params: CnnParams, matrix: SentenceMatrix) -> dict:
     return {"windows": windows, "pre": pre, "best": best, "feats": feats}
 
 
-def _forward(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix) -> dict:
+def _forward(params: CnnParams, a: np.ndarray, b: np.ndarray) -> dict:
     conv_a = _conv_forward(params, a)
     conv_b = _conv_forward(params, b)
     fa, fb = conv_a["feats"], conv_b["feats"]
@@ -142,7 +140,7 @@ def _forward(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix) -> dict:
     }
 
 
-def cnn_forward(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix) -> float:
+def cnn_forward(params: CnnParams, a: np.ndarray, b: np.ndarray) -> float:
     """Similarity score in (0, 1); exactly symmetric in its two inputs."""
     return sigmoid(_forward(params, a, b)["logit"])
 
@@ -157,7 +155,7 @@ def _conv_backward(params: CnnParams, conv: dict, dfeats: np.ndarray,
     grads["filter_bias"] += dpre.sum(axis=0)
 
 
-def loss_and_gradients(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix,
+def loss_and_gradients(params: CnnParams, a: np.ndarray, b: np.ndarray,
                        label: float) -> tuple[float, dict]:
     """Cross-entropy loss for one pair and its analytic parameter gradients."""
     cache = _forward(params, a, b)
@@ -218,7 +216,7 @@ def _with_tensor(params: CnnParams, name: str, tensor: np.ndarray) -> CnnParams:
     return replace(params, **{name: tensor})
 
 
-def numeric_gradients(params: CnnParams, a: SentenceMatrix, b: SentenceMatrix,
+def numeric_gradients(params: CnnParams, a: np.ndarray, b: np.ndarray,
                       label: float, epsilon: float) -> dict:
     """Central-difference gradients of the cross-entropy loss."""
     grads = {}
@@ -248,7 +246,7 @@ def max_relative_error(analytic: dict, numeric: dict) -> float:
     return worst
 
 
-def gradient_check(params: CnnParams, example: tuple[SentenceMatrix, SentenceMatrix, float],
+def gradient_check(params: CnnParams, example: tuple[np.ndarray, np.ndarray, float],
                    epsilon: float = 1e-4) -> float:
     """Worst-case relative error between analytic and numeric gradients."""
     if epsilon <= 0:

@@ -1,4 +1,5 @@
-"""Word-vector tables in the word2vec text format, plus sentence matrices.
+"""Word-vector tables in the word2vec text format, and the (L, dim) matrix
+of a sentence's token vectors.
 
 Out-of-vocabulary words map to deterministic pseudo-random unit vectors
 derived from a stable hash of (surface, seed), so lookups are reproducible
@@ -37,30 +38,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-
-@dataclass(frozen=True)
-class SentenceMatrix:
-    """Fixed-height token-embedding matrix with a validity mask.
-
-    The first ``true_length`` rows hold token vectors in order; remaining
-    rows are zero padding.
-    """
-
-    rows: np.ndarray  # (n_max, dim)
-    mask: np.ndarray  # (n_max,) bool, True for real tokens
-    true_length: int
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-    @property
-    def n_max(self) -> int:
-        return self.rows.shape[0]
-
-    def true_rows(self) -> np.ndarray:
-        return self.rows[: self.true_length]
 
 
 def format_row(name: str | None, values: Iterable[float]) -> str:
@@ -157,14 +134,12 @@ def lookup(table: EmbeddingTable, surface: str) -> np.ndarray:
     return _oov_vector(surface, table.dim, table.oov_seed)
 
 
-def embed_sentence(table: EmbeddingTable, s: Sentence, n_max: int) -> SentenceMatrix:
-    """Map a sentence to an (n_max, dim) matrix, truncating past n_max."""
+def embed_sentence(table: EmbeddingTable, s: Sentence, n_max: int) -> np.ndarray:
+    """The (L, dim) matrix of the sentence's token vectors, L = min(len(s), n_max)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    true_length = min(len(s), n_max)
-    rows = np.zeros((n_max, table.dim), dtype=np.float64)
-    for i in range(true_length):
+    length = min(len(s), n_max)
+    rows = np.empty((length, table.dim), dtype=np.float64)
+    for i in range(length):
         rows[i] = lookup(table, s.tokens[i].surface)
-    mask = np.zeros(n_max, dtype=bool)
-    mask[:true_length] = True
-    return SentenceMatrix(rows=rows, mask=mask, true_length=true_length)
+    return rows

@@ -16,7 +16,8 @@ from typing import IO, Sequence
 import numpy as np
 
 from .embedding import format_row, parse_row
-from .errors import ConfigError, DegenerateData, DimensionError, FormatError
+from .errors import (ConfigError, DegenerateData, DimensionError, FormatError,
+                     SimfuseError)
 from .nn import TrainConfig, bce_from_logit, sigmoid, sgd
 
 SIMILAR = "similar"
@@ -28,6 +29,7 @@ LEARNED = "learned"
 _FUSION_HEADER = "simfuse-fusion v1"
 _COMBINER_HIDDEN = 4
 _NET_SECTIONS = ("hidden_w", "hidden_b", "out_w", "out_b")
+_COMPONENTS = ("jaccard", "w2vcnn", "tfidf")
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,16 @@ def _net_loss_and_grads(net: FusionNet, triple: np.ndarray,
 
 def fuse(scores: tuple[float, float, float], weights: FusionWeights,
          params: FusionParams) -> float:
-    """Combine (jaccard, w2vcnn, tfidf) scores into one value in [0, 1]."""
-    weighted = weights.as_array() * np.asarray(scores, dtype=np.float64)
+    """Combine (jaccard, w2vcnn, tfidf) scores into one value in [0, 1].
+
+    Raises SimfuseError naming each non-finite component score.
+    """
+    values = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(values).all():
+        bad = ", ".join(f"{name}={value}" for name, value in zip(_COMPONENTS, values)
+                        if not math.isfinite(value))
+        raise SimfuseError(f"non-finite component score: {bad}")
+    weighted = weights.as_array() * values
     if params.mode == WEIGHTED_SUM:
         # the weight triple can sum to 1 +- 1 ulp; keep the contract exact
         return float(min(1.0, weighted.sum()))

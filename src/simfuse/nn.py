@@ -11,7 +11,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateData
 
 P = TypeVar("P")
 
@@ -54,9 +54,12 @@ def sgd(params: P, loss_and_grads: Callable[[P, int], tuple[float, dict]], n: in
     update; each batch replaces every such field ``p`` with
     ``p - lr * (g * (1 / batch))``, ``g`` the gradient summed over the
     batch.  Returns the final parameters and the mean loss per epoch.
+    Raises DegenerateData when an update leaves parameters that the
+    dataclass rejects (a ValueError from its constructor, such as
+    non-finite values after divergence).
     """
     epoch_losses: list[float] = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
@@ -71,9 +74,12 @@ def sgd(params: P, loss_and_grads: Callable[[P, int], tuple[float, dict]], n: in
                     for key in summed:
                         summed[key] += grads[key]
             scale = 1.0 / len(batch)
-            params = replace(params, **{
-                key: getattr(params, key) - config.learning_rate * (grad * scale)
-                for key, grad in summed.items()
-            })
+            try:
+                params = replace(params, **{
+                    key: getattr(params, key) - config.learning_rate * (grad * scale)
+                    for key, grad in summed.items()
+                })
+            except ValueError as exc:
+                raise DegenerateData(f"training diverged in epoch {epoch}: {exc}") from exc
         epoch_losses.append(total / n)
     return params, epoch_losses

@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from simfuse.attention import SimilarityGrid, attention_weights, edit_distance, \
-    marginal_sums, weighted_pair_matrices
+from simfuse.attention import attention_weights, edit_distance, marginal_sums, \
+    weighted_pair_matrices
 from simfuse.cli import main as cli_main
 from simfuse.cnn import (TrainConfig, cnn_forward, cnn_train, gradient_check,
                          init_params, loss_and_gradients, max_relative_error,
                          numeric_gradients)
 from simfuse.corpus import Sentence
-from simfuse.embedding import SentenceMatrix
 from simfuse.fusion import (DEFAULT_WEIGHTS, DIFFERENT, SIMILAR, FusionParams,
                             calibrate_weights, classify, fuse)
 
@@ -176,12 +175,8 @@ def test_criterion_3c_gradient_correctness():
     initializations; a corrupted gradient is flagged above 1e-2."""
     rng = np.random.default_rng(99)
 
-    def random_matrix(n, dim, n_max=8):
-        rows = np.zeros((n_max, dim))
-        rows[:n] = rng.standard_normal((n, dim))
-        mask = np.zeros(n_max, dtype=bool)
-        mask[:n] = True
-        return SentenceMatrix(rows=rows, mask=mask, true_length=n)
+    def random_matrix(n, dim):
+        return rng.standard_normal((n, dim))
 
     worst = 0.0
     for seed in range(20):
@@ -211,12 +206,11 @@ def test_criterion_3d_attention_normalization():
     failures = 0
     for _ in range(1000):
         n, m = (int(x) for x in rng.integers(1, 9, size=2))
-        grid = SimilarityGrid(values=rng.uniform(-1.0, 1.0, size=(n, m)), n=n, m=m)
+        grid = rng.uniform(-1.0, 1.0, size=(n, m))
         row_vec, col_vec = marginal_sums(grid)
         pos_row = rng.uniform(0.0, 2.0, size=n)
         pos_col = rng.uniform(0.0, 2.0, size=m)
-        att = attention_weights(row_vec, pos_row, col_vec, pos_col)
-        for vec in (att.row_weights, att.col_weights):
+        for vec in attention_weights(row_vec, pos_row, col_vec, pos_col):
             if abs(vec.sum() - 1.0) > 1e-9 or not (vec > 0.0).all():
                 failures += 1
     _criterion("attention-normalization", failures == 0, f"{failures} failures")

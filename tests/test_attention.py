@@ -7,19 +7,12 @@ from simfuse.attention import (apply_attention, attention_weights,
                                cosine_matrix, edit_distance, marginal_sums,
                                position_weights, weighted_pair_matrices)
 from simfuse.corpus import Sentence
-from simfuse.embedding import EmbeddingTable, SentenceMatrix, embed_sentence
+from simfuse.embedding import EmbeddingTable, embed_sentence
 from simfuse.errors import DimensionError
 
 
-def _matrix(rows, n_max=None):
-    rows = np.asarray(rows, dtype=np.float64)
-    n = rows.shape[0]
-    n_max = n_max or n
-    full = np.zeros((n_max, rows.shape[1]))
-    full[:n] = rows
-    mask = np.zeros(n_max, dtype=bool)
-    mask[:n] = True
-    return SentenceMatrix(rows=full, mask=mask, true_length=n)
+def _matrix(rows):
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _dp_table_distance(u, v):
@@ -41,25 +34,26 @@ class TestCosineMatrix:
     def test_identical_row(self):
         a = _matrix([[1.0, 1.0]])
         g = cosine_matrix(a, a)
-        assert g.values[0, 0] == pytest.approx(1.0)
+        assert g[0, 0] == pytest.approx(1.0)
 
     def test_orthogonal(self):
         g = cosine_matrix(_matrix([[1.0, 0.0]]), _matrix([[0.0, 1.0]]))
-        assert g.values[0, 0] == 0.0
+        assert g[0, 0] == 0.0
 
     def test_hand_value(self):
         g = cosine_matrix(_matrix([[1.0, 1.0]]), _matrix([[1.0, 0.0]]))
-        assert g.values[0, 0] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert g[0, 0] == pytest.approx(1.0 / math.sqrt(2.0))
 
     def test_zero_norm_row_gives_zero(self):
         g = cosine_matrix(_matrix([[0.0, 0.0]]), _matrix([[1.0, 2.0]]))
-        assert g.values[0, 0] == 0.0
+        assert g[0, 0] == 0.0
 
     def test_padding_excluded(self):
-        a = _matrix([[1.0, 0.0]], n_max=5)
-        b = _matrix([[1.0, 0.0], [0.0, 1.0]], n_max=5)
+        # an (n, d) and an (m, d) matrix give an (n, m) grid: no padded rows
+        a = _matrix([[1.0, 0.0]])
+        b = _matrix([[1.0, 0.0], [0.0, 1.0]])
         g = cosine_matrix(a, b)
-        assert g.values.shape == (1, 2)
+        assert g.shape == (1, 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -71,7 +65,7 @@ class TestCosineMatrix:
             a = _matrix(rng.standard_normal((rng.integers(1, 5), 3)))
             b = _matrix(rng.standard_normal((rng.integers(1, 5), 3)))
             np.testing.assert_allclose(
-                cosine_matrix(a, b).values, cosine_matrix(b, a).values.T,
+                cosine_matrix(a, b), cosine_matrix(b, a).T,
                 atol=1e-12,
             )
 
@@ -156,30 +150,30 @@ class TestPositionWeights:
 class TestAttentionWeights:
     def test_uniform_for_equal_inputs(self):
         vec = np.full(4, 1.7)
-        att = attention_weights(vec, np.zeros(4), vec, np.zeros(4))
-        np.testing.assert_allclose(att.row_weights, 0.25)
-        np.testing.assert_allclose(att.col_weights, 0.25)
+        row_w, col_w = attention_weights(vec, np.zeros(4), vec, np.zeros(4))
+        np.testing.assert_allclose(row_w, 0.25)
+        np.testing.assert_allclose(col_w, 0.25)
 
     def test_closed_form(self):
-        att = attention_weights(np.array([0.0, math.log(3.0)]), np.zeros(2),
-                                np.zeros(1), np.zeros(1))
-        np.testing.assert_allclose(att.row_weights, [0.25, 0.75], atol=1e-12)
+        row_w, _ = attention_weights(np.array([0.0, math.log(3.0)]), np.zeros(2),
+                                     np.zeros(1), np.zeros(1))
+        np.testing.assert_allclose(row_w, [0.25, 0.75], atol=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
             n, m = rng.integers(1, 9, size=2)
-            att = attention_weights(rng.standard_normal(n), rng.standard_normal(n),
-                                    rng.standard_normal(m), rng.standard_normal(m))
-            assert att.row_weights.sum() == pytest.approx(1.0, abs=1e-9)
-            assert att.col_weights.sum() == pytest.approx(1.0, abs=1e-9)
-            assert (att.row_weights > 0).all() and (att.col_weights > 0).all()
+            row_w, col_w = attention_weights(rng.standard_normal(n), rng.standard_normal(n),
+                                             rng.standard_normal(m), rng.standard_normal(m))
+            assert row_w.sum() == pytest.approx(1.0, abs=1e-9)
+            assert col_w.sum() == pytest.approx(1.0, abs=1e-9)
+            assert (row_w > 0).all() and (col_w > 0).all()
 
     def test_large_magnitudes_stable(self):
-        att = attention_weights(np.array([1000.0, 1001.0]), np.zeros(2),
-                                np.array([-1000.0]), np.zeros(1))
-        assert np.isfinite(att.row_weights).all()
-        assert att.row_weights.sum() == pytest.approx(1.0, abs=1e-9)
+        row_w, _ = attention_weights(np.array([1000.0, 1001.0]), np.zeros(2),
+                                     np.array([-1000.0]), np.zeros(1))
+        assert np.isfinite(row_w).all()
+        assert row_w.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -188,15 +182,15 @@ class TestAttentionWeights:
 
 class TestApplyAttention:
     def test_uniform_scaling(self):
-        m = _matrix([[2.0, 0.0], [0.0, 2.0]], n_max=4)
+        m = _matrix([[2.0, 0.0], [0.0, 2.0]])
         out = apply_attention(m, np.array([0.5, 0.5]))
-        np.testing.assert_array_equal(out.rows[0], [1.0, 0.0])
-        np.testing.assert_array_equal(out.rows[2:], np.zeros((2, 2)))
+        np.testing.assert_array_equal(out[0], [1.0, 0.0])
+        assert out.shape == (2, 2)
 
     def test_zero_weight_zeroes_row(self):
         m = _matrix([[1.0, 1.0], [1.0, 1.0]])
         out = apply_attention(m, np.array([0.0, 1.0]))
-        assert np.linalg.norm(out.rows[0]) == 0.0
+        assert np.linalg.norm(out[0]) == 0.0
 
     def test_row_norm_linearity(self):
         rng = np.random.default_rng(31)
@@ -204,8 +198,8 @@ class TestApplyAttention:
         w = rng.uniform(0.1, 1.0, size=3)
         out = apply_attention(m, w)
         for i in range(3):
-            assert np.linalg.norm(out.rows[i]) == pytest.approx(
-                w[i] * np.linalg.norm(m.rows[i]))
+            assert np.linalg.norm(out[i]) == pytest.approx(
+                w[i] * np.linalg.norm(m[i]))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
@@ -213,9 +207,9 @@ class TestApplyAttention:
 
     def test_input_not_mutated(self):
         m = _matrix([[1.0, 1.0]])
-        before = m.rows.copy()
+        before = m.copy()
         apply_attention(m, np.array([0.25]))
-        np.testing.assert_array_equal(m.rows, before)
+        np.testing.assert_array_equal(m, before)
 
 
 class TestWeightedPairMatrices:
@@ -224,17 +218,17 @@ class TestWeightedPairMatrices:
         a = Sentence.from_surfaces(["one", "two", "three"])
         b = Sentence.from_surfaces(["one", "four"])
         wa, wb = weighted_pair_matrices(a, b, table, n_max=6)
-        assert wa.true_length == 3 and wb.true_length == 2
+        assert wa.shape == (3, 4) and wb.shape == (2, 4)
         # attention weights sum to 1, so total row norm is a convex mix of
         # unit-norm OOV rows and must be well below the unweighted total
         base = embed_sentence(table, a, 6)
-        assert np.linalg.norm(wa.true_rows(), axis=1).sum() < \
-            np.linalg.norm(base.true_rows(), axis=1).sum()
+        assert np.linalg.norm(wa, axis=1).sum() < \
+            np.linalg.norm(base, axis=1).sum()
 
     def test_truncates_consistently(self):
         table = EmbeddingTable(dim=4, vectors={})
         long_a = Sentence.from_surfaces([f"w{i}" for i in range(10)])
         b = Sentence.from_surfaces(["w0", "w1"])
         wa, wb = weighted_pair_matrices(long_a, b, table, n_max=4)
-        assert wa.true_length == 4
-        assert wb.true_length == 2
+        assert wa.shape == (4, 4)
+        assert wb.shape == (2, 4)

@@ -132,6 +132,8 @@ CORRUPTIONS = [
      "fusion.params: line 7: unknown fusion net section 'extra'"),
     ("embeddings_nan", "embeddings.txt", "a 1e-300 3", "a nan 3",
      "embeddings.txt: line 2: non-finite value"),
+    ("embeddings_overflow", "embeddings.txt", "a 1e-300 3", "a 1e200 1e200",
+     "non-finite component score: w2vcnn=nan"),
 ]
 
 
@@ -153,6 +155,7 @@ def test_uncorrupted_inputs_score(scoring_inputs, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 @pytest.mark.parametrize("name, old, new, message",
                          [case[1:] for case in CORRUPTIONS],
                          ids=[case[0] for case in CORRUPTIONS])

@@ -52,8 +52,53 @@ class TestTrain:
         assert names == ["cnn.params", "embeddings.txt", "fusion.params", "stats.tsv"]
         lines = captured.out.splitlines()
         assert sum(1 for l in lines if l.startswith("cnn_epoch\t")) == 5
-        assert sum(1 for l in lines if l.startswith("fusion_epoch\t")) == 5
+        # weighted_sum mode fits no combiner, so it prints no combiner losses
+        assert sum(1 for l in lines if l.startswith("fusion_epoch\t")) == 0
         assert lines[-1].startswith("weights\t")
+
+    def test_learned_mode_fits_the_combiner(self, workdir, tmp_path, capsys):
+        _, pairs, embeddings, _ = workdir
+        config = tmp_path / "learned.cfg"
+        config.write_text("epochs = 5\nseed = 7\nfusion_mode = learned\n", encoding="utf-8")
+        assert main(["train", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--out", str(tmp_path / "m"), "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(1 for l in lines if l.startswith("fusion_epoch\t")) == 5
+        assert len((tmp_path / "m" / "fusion.params").read_text().splitlines()) == 6
+
+    def test_single_class_weighted_sum_trains(self, workdir, tmp_path):
+        _, _, embeddings, config = workdir
+        single = tmp_path / "single.tsv"
+        single.write_text("1\tred apple\tred apple\t1\n2\tgreen pear\tgreen pear\t1\n",
+                          encoding="utf-8")
+        assert main(["train", "--pairs", str(single), "--embeddings", str(embeddings),
+                     "--out", str(tmp_path / "m"), "--config", str(config)]) == 0
+
+    @pytest.mark.parametrize("content, message", [
+        (b"1 2\nr\xffd 1 1\n", "not UTF-8 text (invalid start byte)"),
+        (b"1 2\nred nan 1\n", "line 2: non-finite value"),
+    ], ids=["non_utf8", "nan"])
+    def test_bad_embeddings_file_named_in_one_error_line(self, workdir, tmp_path, capsys,
+                                                         content, message):
+        _, pairs, _, config = workdir
+        bad = tmp_path / "bad_embeddings.txt"
+        bad.write_bytes(content)
+        status = main(["train", "--pairs", str(pairs), "--embeddings", str(bad),
+                       "--out", str(tmp_path / "m"), "--config", str(config)])
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+
+    @pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
+    def test_diverging_training_exits_1(self, workdir, tmp_path, capsys):
+        _, pairs, _, config = workdir
+        huge = tmp_path / "huge.txt"
+        huge.write_text("".join(f"{w} 1e200 1e200 1e200 1e200\n" for w in VOCAB),
+                        encoding="utf-8")
+        status = main(["train", "--pairs", str(pairs), "--embeddings", str(huge),
+                       "--out", str(tmp_path / "m"), "--config", str(config)])
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training diverged in epoch 1: parameters must be finite"]
 
     def test_missing_pairs_flag_is_usage_error(self, workdir):
         tmp_path, _, embeddings, _ = workdir

@@ -7,25 +7,19 @@ from simfuse.cnn import (CnnParams, TrainConfig, cnn_forward, cnn_train,
                          gradient_check, init_params, load_cnn_params,
                          loss_and_gradients, max_relative_error,
                          numeric_gradients, save_cnn_params)
-from simfuse.corpus import GRADED, Dataset
-from simfuse.embedding import SentenceMatrix
+from simfuse.corpus import GRADED, Dataset, Sentence
+from simfuse.embedding import EmbeddingTable, embed_sentence
 from simfuse.errors import ConfigError, LabelKindError
 
 from conftest import separable_toy_set
 
 
-def _matrix(rows, n_max=8):
-    rows = np.asarray(rows, dtype=np.float64)
-    n = rows.shape[0]
-    full = np.zeros((n_max, rows.shape[1]))
-    full[:n] = rows
-    mask = np.zeros(n_max, dtype=bool)
-    mask[:n] = True
-    return SentenceMatrix(rows=full, mask=mask, true_length=n)
+def _matrix(rows):
+    return np.asarray(rows, dtype=np.float64)
 
 
-def _random_matrix(rng, n, dim, n_max=8):
-    return _matrix(rng.standard_normal((n, dim)), n_max=n_max)
+def _random_matrix(rng, n, dim):
+    return _matrix(rng.standard_normal((n, dim)))
 
 
 @pytest.fixture()
@@ -55,13 +49,16 @@ class TestForward:
         assert cnn_forward(small_params, a, a) == cnn_forward(small_params, a, a)
 
     def test_padding_is_a_no_op(self, small_params):
+        # n_max past the sentence length adds no rows, so it cannot move the score
         rng = np.random.default_rng(4)
-        rows = rng.standard_normal((4, 3))
-        short = _matrix(rows, n_max=4)
-        padded = _matrix(rows, n_max=12)
+        table = EmbeddingTable(dim=3, vectors={})
+        sentence = Sentence.from_surfaces(["w0", "w1", "w2", "w3"])
+        short = embed_sentence(table, sentence, n_max=4)
+        roomy = embed_sentence(table, sentence, n_max=12)
+        assert short.shape == roomy.shape == (4, 3)
         partner = _random_matrix(rng, 3, 3)
         assert cnn_forward(small_params, short, partner) == \
-            cnn_forward(small_params, padded, partner)
+            cnn_forward(small_params, roomy, partner)
 
     def test_sentence_shorter_than_kernel(self, small_params):
         rng = np.random.default_rng(5)
@@ -88,6 +85,25 @@ class TestForward:
         original = cnn_forward(params, _matrix(rows), partner)
         swapped = cnn_forward(params, _matrix(rows[::-1].copy()), partner)
         assert original != swapped
+
+
+class TestWindows:
+    def test_matches_row_loop(self):
+        from simfuse.cnn import _windows
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            length, dim, k = (int(x) for x in rng.integers(1, 9, size=3))
+            rows = rng.standard_normal((length, dim))
+            if length < k:
+                window = np.zeros((k, dim))
+                window[:length] = rows
+                expected = window.reshape(1, k * dim)
+            else:
+                expected = np.stack([rows[i : i + k].ravel()
+                                     for i in range(length - k + 1)])
+            got = _windows(rows, k)
+            assert got.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestGradients:

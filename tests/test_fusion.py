@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simfuse.cnn import TrainConfig
-from simfuse.errors import ConfigError, DegenerateData, FormatError
+from simfuse.errors import ConfigError, DegenerateData, FormatError, SimfuseError
 from simfuse.fusion import (DEFAULT_WEIGHTS, DIFFERENT, LEARNED, SIMILAR,
                             WEIGHTED_SUM, FusionParams, FusionWeights,
                             calibrate_weights, classify, fuse,
@@ -89,6 +89,17 @@ class TestFuse:
     def test_learned_mode_requires_net(self):
         with pytest.raises(ConfigError):
             FusionParams(mode=LEARNED, net=None)
+
+    @pytest.mark.parametrize("mode", [WEIGHTED_SUM, LEARNED])
+    def test_non_finite_score_rejected(self, mode):
+        params = FusionParams()
+        if mode == LEARNED:
+            params, _ = train_fusion([(0.9, 0.9, 0.9), (0.1, 0.1, 0.1)], [1.0, 0.0],
+                                     DEFAULT_WEIGHTS, TrainConfig(epochs=1, seed=0))
+        with pytest.raises(SimfuseError, match=r"^non-finite component score: w2vcnn=nan$"):
+            fuse((0.0, float("nan"), 0.0), DEFAULT_WEIGHTS, params)
+        with pytest.raises(SimfuseError, match=r"jaccard=inf, tfidf=-inf$"):
+            fuse((float("inf"), 0.5, float("-inf")), DEFAULT_WEIGHTS, params)
 
     def test_learned_mode_in_range(self):
         params, _ = train_fusion(

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from simfuse.errors import DegenerateData
 from simfuse.fusion import FusionWeights, train_fusion
 from simfuse.nn import TrainConfig, bce_from_logit, sgd, sigmoid
 
@@ -35,6 +36,13 @@ class Quadratic:
     w: np.ndarray
     b: float
     untouched: float = 5.0
+
+
+@dataclass(frozen=True)
+class Bounded(Quadratic):
+    def __post_init__(self):
+        if abs(self.b) > 10.0:
+            raise ValueError("b out of range")
 
 
 def _quadratic_loss(targets):
@@ -84,6 +92,14 @@ class TestSgd:
                         np.random.default_rng(0))
         assert len(losses) == 4
         assert all(later < earlier for earlier, later in zip(losses, losses[1:]))
+
+    def test_rejected_update_raises_degenerate_data_naming_the_epoch(self):
+        # b -> b * (1 - 2 * lr) = -9 b per step: 1 -> -9 (epoch 1) -> 81 (epoch 2)
+        with pytest.raises(DegenerateData,
+                           match=r"^training diverged in epoch 2: b out of range$"):
+            sgd(Bounded(w=np.zeros(2), b=1.0), _quadratic_loss(np.zeros((1, 2))), 1,
+                TrainConfig(learning_rate=5.0, epochs=3, batch_size=1),
+                np.random.default_rng(0))
 
 
 def _reference_combiner(inputs, target, config):
