@@ -1,6 +1,13 @@
 """Word-vector tables in the word2vec text format, and the (L, dim) matrix
 of a sentence's token vectors.
 
+The ``.17g`` row codec here (``format_row``/``parse_row``) is shared by the
+embedding, CNN and fusion files.  Rows are written with one ``%`` operation
+each; embeddings files are read in blocks of ``BLOCK_ROWS`` lines parsed by
+``np.loadtxt``, and a block it does not accept is parsed again line by
+line with ``parse_row``, which alone decides what is valid and how an
+error reads.
+
 Out-of-vocabulary words map to deterministic pseudo-random unit vectors
 derived from a stable hash of (surface, seed), so lookups are reproducible
 across processes and runs.
@@ -10,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -18,6 +25,10 @@ from .corpus import Sentence
 from .errors import FormatError
 
 DEFAULT_OOV_SEED = 0
+
+# Lines per np.loadtxt call when reading an embeddings file: larger blocks
+# parse no faster and raise peak memory.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -40,10 +51,13 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def format_row(name: str | None, values: Iterable[float]) -> str:
+def format_row(name: str | None, values: np.ndarray | Sequence[float]) -> str:
     """One ``name v1 ... vn`` line (no name when None); ``.17g`` values
-    round-trip float64 bitwise."""
-    text = " ".join(format(x, ".17g") for x in values)
+    round-trip float64 bitwise.  The values are formatted as Python floats
+    by one ``%`` operation, with the same text as ``format(x, ".17g")``
+    per value."""
+    flat = tuple(np.ravel(values).tolist())
+    text = " ".join(["%.17g"] * len(flat)) % flat
     return f"{text}\n" if name is None else f"{name} {text}\n"
 
 
@@ -63,6 +77,29 @@ def parse_row(line: str, lineno: int, expected_count: int | None) -> np.ndarray:
     return values
 
 
+def parse_rows(rows: Sequence[tuple[int, str]], expected_count: int) -> np.ndarray:
+    """The ``(len(rows), expected_count)`` values of ``(lineno, text)`` rows
+    whose names the caller has split off.
+
+    One ``np.loadtxt`` call parses the block.  Its result is kept only if it
+    has the expected shape and every value is finite; otherwise (including
+    when loadtxt rejects the text) each row is parsed again with
+    ``parse_row``, which raises its FormatError for the first bad row or
+    returns the values parse_row accepts.
+    """
+    texts = [text for _, text in rows]
+    block = None
+    if any(text.strip() for text in texts):  # loadtxt warns when every row is blank
+        try:
+            block = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if (block is not None and block.shape == (len(rows), expected_count)
+            and np.isfinite(block).all()):
+        return block
+    return np.array([parse_row(text, lineno, expected_count) for lineno, text in rows])
+
+
 def parse_int(text: str, lineno: int, what: str) -> int:
     """``text`` as an integer; FormatError naming ``lineno`` and ``what`` if not."""
     try:
@@ -77,12 +114,16 @@ def load_text_embeddings(stream: IO[str] | Iterable[str],
     ``surface v1 ... vd`` lines.
 
     The header count is not enforced; duplicate surfaces keep the last
-    vector.  Raises FormatError on inconsistent dimensions, non-numeric or
-    non-finite components, naming the line.
+    vector.  The first vector line is parsed on its own and sets ``dim``
+    when there is no header; the rest are parsed in blocks of BLOCK_ROWS
+    lines by ``parse_rows``, and each stored vector is a row of its block.
+    Raises FormatError on inconsistent dimensions, non-numeric or
+    non-finite components, naming the line, and on a file with no vectors.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for lineno, line in enumerate(stream, start=1):
+    lines = enumerate(stream, start=1)
+    for lineno, line in lines:
         parts = line.split(maxsplit=1)
         if not parts:
             continue
@@ -100,7 +141,21 @@ def load_text_embeddings(stream: IO[str] | Iterable[str],
             if dim == 0:
                 raise FormatError(f"line {lineno}: no vector components")
         vectors[parts[0]] = vec
-    if dim is None:
+        break
+    names: list[str] = []
+    rows: list[tuple[int, str]] = []
+    for lineno, line in lines:
+        parts = line.split(maxsplit=1)
+        if not parts:
+            continue
+        names.append(parts[0])
+        rows.append((lineno, parts[1] if len(parts) == 2 else ""))
+        if len(rows) == BLOCK_ROWS:
+            vectors.update(zip(names, parse_rows(rows, dim)))
+            names, rows = [], []
+    if rows:
+        vectors.update(zip(names, parse_rows(rows, dim)))
+    if not vectors:
         raise FormatError("embedding file contains no vectors")
     return EmbeddingTable(dim=dim, vectors=vectors, oov_seed=oov_seed)
 

@@ -61,9 +61,15 @@ def score_pair(pair: LabeledPair, stats: tfidf.CorpusStats, table: EmbeddingTabl
                cnn_params: cnn.CnnParams, weights: fusion.FusionWeights,
                fusion_params: fusion.FusionParams,
                n_max: int = cnn.DEFAULT_N_MAX) -> PairScores:
-    """Run all three scorers, fuse, classify.  Pure and deterministic."""
+    """Run all three scorers, fuse, classify.  Pure and deterministic.
+
+    A fusion error (a non-finite component score) is re-raised naming the pair.
+    """
     j, c, t = component_scores(pair, stats, table, cnn_params, n_max)
-    fused = fusion.fuse((j, c, t), weights, fusion_params)
+    try:
+        fused = fusion.fuse((j, c, t), weights, fusion_params)
+    except SimfuseError as exc:
+        raise SimfuseError(f"pair {pair.id}: {exc}") from exc
     return PairScores(jaccard=j, w2vcnn=c, tfidf=t, fused=fused,
                       predicted=fusion.classify(fused))
 

@@ -1,12 +1,15 @@
 """Bundle file format, frozen as literal text, and the errors a corrupt
 bundle or pair file gives through ``simfuse score``."""
 
+import io
+
 import numpy as np
 import pytest
 
 from simfuse.cli import main
 from simfuse.cnn import CnnParams
-from simfuse.embedding import EmbeddingTable
+from simfuse.embedding import (BLOCK_ROWS, EmbeddingTable, load_text_embeddings,
+                               save_text_embeddings)
 from simfuse.fusion import (LEARNED, WEIGHTED_SUM, FusionNet, FusionParams,
                             FusionWeights)
 from simfuse.pipeline import ModelBundle, load_bundle, save_bundle
@@ -106,6 +109,29 @@ class TestGoldenFormat:
             assert _bitwise_equal(got.table.vectors[word], vec), word
 
 
+class TestEmbeddingsRoundTrip:
+    def test_save_load_save_is_byte_identical_over_several_blocks(self):
+        # about three blocks: random bit patterns and normals, with edge values
+        rng = np.random.default_rng(29)
+        n_rows = 3 * BLOCK_ROWS - 7
+        bits = rng.integers(-2 ** 63, 2 ** 63, size=n_rows * 5, dtype=np.int64)
+        values = bits.view(np.float64)
+        values[~np.isfinite(values)] = -0.0
+        values[: n_rows * 5 // 2] = rng.standard_normal(n_rows * 5 // 2)
+        values[:6] = [5e-324, -5e-324, 1.7976931348623157e308, 1e-310, 3.0, 0.1]
+        rows = values.reshape(n_rows, 5)
+        table = EmbeddingTable(dim=5, vectors={f"w{i}": rows[i] for i in range(n_rows)})
+        first = io.StringIO()
+        save_text_embeddings(table, first)
+        back = load_text_embeddings(io.StringIO(first.getvalue()))
+        second = io.StringIO()
+        save_text_embeddings(back, second)
+        assert second.getvalue().encode("utf-8") == first.getvalue().encode("utf-8")
+        assert len(first.getvalue().splitlines()) == n_rows + 1
+        for word, vec in table.vectors.items():
+            assert _bitwise_equal(back.vectors[word], vec), word
+
+
 # (case id, bundle file, text replaced, replacement, expected message part)
 CORRUPTIONS = [
     ("cnn_non_numeric", "cnn.params", "filters 0.5 ", "filters abc ",
@@ -173,6 +199,20 @@ def test_corrupt_bundle_file_exits_1_with_one_error_line(scoring_inputs, capsys,
     assert len(lines) == 1
     assert lines[0].startswith("error: ")
     assert message in lines[0]
+
+
+@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+def test_non_finite_score_names_the_pair(scoring_inputs, capsys):
+    model, pairs = scoring_inputs
+    pairs.write_text("p7\tb\tb\t1\np8\ta b\tb a\t1\np9\ta\ta\t0\n", encoding="utf-8")
+    path = model / "embeddings.txt"
+    path.write_text(path.read_text(encoding="utf-8").replace("a 1e-300 3", "a 1e200 1e200"),
+                    encoding="utf-8")
+    assert _score(model, pairs) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0].startswith("p7\t")  # pairs before it were scored
+    assert captured.err.splitlines() == [
+        "error: pair p8: non-finite component score: w2vcnn=nan"]
 
 
 def test_non_utf8_pair_file_exits_1_naming_the_file(scoring_inputs, capsys):

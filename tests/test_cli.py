@@ -77,7 +77,8 @@ class TestTrain:
     @pytest.mark.parametrize("content, message", [
         (b"1 2\nr\xffd 1 1\n", "not UTF-8 text (invalid start byte)"),
         (b"1 2\nred nan 1\n", "line 2: non-finite value"),
-    ], ids=["non_utf8", "nan"])
+        (b"0 4\n", "embedding file contains no vectors"),
+    ], ids=["non_utf8", "nan", "header_only"])
     def test_bad_embeddings_file_named_in_one_error_line(self, workdir, tmp_path, capsys,
                                                          content, message):
         _, pairs, _, config = workdir
