@@ -12,9 +12,8 @@ from .attention import (apply_attention, attention_weights, cosine_matrix,
 from .cnn import (CnnParams, cnn_forward, cnn_train,
                   gradient_check, init_params, load_cnn_params, save_cnn_params)
 from .corpus import (BINARY, GRADED, ONE_IS_SIMILAR, ROLES, ZERO_IS_SIMILAR,
-                     Dataset, LabeledPair, Sentence, Token,
-                     assign_roles_heuristic, parse_annotated, parse_pair_file,
-                     serialize_pairs, tokenize)
+                     Dataset, LabeledPair, Sentence, Token, parse_annotated,
+                     parse_pair_file, serialize_pairs, tokenize)
 from .embedding import (EmbeddingTable, embed_sentence, load_text_embeddings,
                         lookup, save_text_embeddings)
 from .errors import (ConfigError, DegenerateData, DimensionError, EmptyCorpus,
@@ -29,8 +28,7 @@ from .metrics import (MetricReport, confusion_counts, prf_metrics,
                       rank_correlations)
 from .nn import TrainConfig
 from .pipeline import (ModelBundle, PairScores, calibrate, component_scores,
-                       evaluate, load_bundle, save_bundle, score_pair,
-                       score_with_bundle)
+                       evaluate, load_bundle, save_bundle, score_with_bundle)
 from .tfidf import (CorpusStats, TfIdfVector, build_stats, cosine_sim, idf,
                     term_frequency, tfidf_vector)
 

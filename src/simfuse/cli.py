@@ -19,8 +19,7 @@ from .corpus import (BINARY, GRADED, ONE_IS_SIMILAR, ZERO_IS_SIMILAR, Dataset,
                      parse_pair_file)
 from .embedding import load_text_embeddings
 from .errors import ConfigError, FormatError, SimfuseError
-from .fusion import (DEFAULT_WEIGHTS, LEARNED, WEIGHTED_SUM, FusionParams,
-                     train_fusion)
+from .fusion import LEARNED, WEIGHTED_SUM, FusionParams, train_fusion
 from .metrics import MetricReport
 from .nn import TrainConfig
 from .tfidf import build_stats
@@ -254,10 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SimfuseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SimfuseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

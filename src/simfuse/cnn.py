@@ -184,9 +184,6 @@ def loss_and_gradients(params: CnnParams, a: np.ndarray, b: np.ndarray,
 
 
 def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
-              n_filters: int = DEFAULT_FILTERS,
-              kernel_width: int = DEFAULT_KERNEL_WIDTH,
-              hidden: int = DEFAULT_HIDDEN,
               n_max: int = DEFAULT_N_MAX) -> tuple[CnnParams, list[float]]:
     """Mini-batch SGD on binary cross-entropy; deterministic for a seed.
 
@@ -200,8 +197,7 @@ def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
         weighted_pair_matrices(pair.a, pair.b, table, n_max) + (pair.label,)
         for pair in dataset
     ]
-    params = init_params(table.dim, n_filters=n_filters, kernel_width=kernel_width,
-                         hidden=hidden, seed=config.seed)
+    params = init_params(table.dim, seed=config.seed)
     return sgd(params, lambda p, i: loss_and_gradients(p, *inputs[i]), len(inputs),
                config, np.random.default_rng(config.seed))
 

@@ -151,47 +151,6 @@ def parse_annotated(raw: str) -> Sentence:
     return Sentence(tuple(tokens))
 
 
-def assign_roles_heuristic(s: Sentence) -> Sentence:
-    """Fill in missing grammatical roles with a deterministic heuristic.
-
-    First role-less NOUN (or first role-less token when the sentence has no
-    NOUN) becomes SUBJ, first role-less VERB becomes PRED, first role-less
-    NOUN after the PRED position becomes OBJ; everything else left without
-    a role becomes NONE.  Existing roles are never overwritten, each of
-    SUBJ/PRED/OBJ is assigned at most once, and the result is idempotent.
-    """
-    roles: list[str | None] = [t.role for t in s.tokens]
-    n = len(roles)
-
-    def first(pred) -> int | None:
-        for i in range(n):
-            if roles[i] is None and pred(i):
-                return i
-        return None
-
-    if not any(r == "SUBJ" for r in roles):
-        if any(t.pos == "NOUN" for t in s.tokens):
-            idx = first(lambda i: s.tokens[i].pos == "NOUN")
-        else:
-            idx = first(lambda i: True)
-        if idx is not None:
-            roles[idx] = "SUBJ"
-    if not any(r == "PRED" for r in roles):
-        idx = first(lambda i: s.tokens[i].pos == "VERB")
-        if idx is not None:
-            roles[idx] = "PRED"
-    pred_pos = next((i for i, r in enumerate(roles) if r == "PRED"), None)
-    if pred_pos is not None and not any(r == "OBJ" for r in roles):
-        idx = first(lambda i: i > pred_pos and s.tokens[i].pos == "NOUN")
-        if idx is not None:
-            roles[idx] = "OBJ"
-    new_tokens = tuple(
-        Token(t.surface, pos=t.pos, role=r if r is not None else "NONE")
-        for t, r in zip(s.tokens, roles)
-    )
-    return Sentence(new_tokens)
-
-
 def _parse_label(text: str, label_kind: str, convention: str, lineno: int) -> float:
     if label_kind == BINARY:
         if text not in ("0", "1"):

@@ -9,7 +9,7 @@ line with ``parse_row``, which alone decides what is valid and how an
 error reads.
 
 Out-of-vocabulary words map to deterministic pseudo-random unit vectors
-derived from a stable hash of (surface, seed), so lookups are reproducible
+derived from a stable hash of the surface, so lookups are reproducible
 across processes and runs.
 """
 
@@ -24,8 +24,6 @@ import numpy as np
 from .corpus import Sentence
 from .errors import FormatError
 
-DEFAULT_OOV_SEED = 0
-
 # Lines per np.loadtxt call when reading an embeddings file: larger blocks
 # parse no faster and raise peak memory.
 BLOCK_ROWS = 256
@@ -35,7 +33,6 @@ BLOCK_ROWS = 256
 class EmbeddingTable:
     dim: int
     vectors: Mapping[str, np.ndarray]
-    oov_seed: int = DEFAULT_OOV_SEED
 
     def __post_init__(self):
         if self.dim < 1:
@@ -108,8 +105,7 @@ def parse_int(text: str, lineno: int, what: str) -> int:
         raise FormatError(f"line {lineno}: {what} must be an integer, got {text!r}") from None
 
 
-def load_text_embeddings(stream: IO[str] | Iterable[str],
-                         oov_seed: int = DEFAULT_OOV_SEED) -> EmbeddingTable:
+def load_text_embeddings(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
     """Load a word2vec-style text file: optional ``count dim`` header, then
     ``surface v1 ... vd`` lines.
 
@@ -157,7 +153,7 @@ def load_text_embeddings(stream: IO[str] | Iterable[str],
         vectors.update(zip(names, parse_rows(rows, dim)))
     if not vectors:
         raise FormatError("embedding file contains no vectors")
-    return EmbeddingTable(dim=dim, vectors=vectors, oov_seed=oov_seed)
+    return EmbeddingTable(dim=dim, vectors=vectors)
 
 
 def save_text_embeddings(table: EmbeddingTable, stream: IO[str]) -> None:
@@ -167,11 +163,10 @@ def save_text_embeddings(table: EmbeddingTable, stream: IO[str]) -> None:
         stream.write(format_row(surface, table.vectors[surface]))
 
 
-def _oov_vector(surface: str, dim: int, seed: int) -> np.ndarray:
-    digest = hashlib.blake2b(
-        surface.encode("utf-8") + b"\x00" + str(seed).encode("ascii"),
-        digest_size=8,
-    ).digest()
+def _oov_vector(surface: str, dim: int) -> np.ndarray:
+    # changing the b"\x00" b"0" suffix would change every OOV vector, and so
+    # the scores of every bundle already written
+    digest = hashlib.blake2b(surface.encode("utf-8") + b"\x00" + b"0", digest_size=8).digest()
     rng = np.random.default_rng(int.from_bytes(digest, "little"))
     vec = rng.standard_normal(dim)
     norm = np.linalg.norm(vec)
@@ -186,7 +181,7 @@ def lookup(table: EmbeddingTable, surface: str) -> np.ndarray:
     vec = table.vectors.get(surface)
     if vec is not None:
         return vec
-    return _oov_vector(surface, table.dim, table.oov_seed)
+    return _oov_vector(surface, table.dim)
 
 
 def embed_sentence(table: EmbeddingTable, s: Sentence, n_max: int) -> np.ndarray:

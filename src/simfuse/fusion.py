@@ -68,6 +68,9 @@ class FusionNet:
         h = self.hidden_b.shape[0]
         if self.hidden_w.shape != (h, 3) or self.out_w.shape != (h,):
             raise ValueError("fusion net shapes are inconsistent")
+        tensors = [self.hidden_w, self.hidden_b, self.out_w]
+        if not all(np.all(np.isfinite(t)) for t in tensors) or not math.isfinite(self.out_b):
+            raise ValueError("parameters must be finite")
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,6 @@ def fuse(scores: tuple[float, float, float], weights: FusionWeights,
     if params.mode == WEIGHTED_SUM:
         # the weight triple can sum to 1 +- 1 ulp; keep the contract exact
         return float(min(1.0, weighted.sum()))
-    if params.net is None:
-        raise ConfigError("learned fusion mode requires a trained combiner")
     return sigmoid(_net_forward(params.net, weighted)["logit"])
 
 
@@ -176,7 +177,7 @@ def save_fusion_params(weights: FusionWeights, params: FusionParams,
     """Header, weight triple, then combiner tensors for the learned mode."""
     stream.write(_FUSION_HEADER + "\n")
     stream.write(format_row(None, weights.as_array()))
-    if params.mode == LEARNED and params.net is not None:
+    if params.mode == LEARNED:
         for name in _NET_SECTIONS:
             stream.write(format_row(name, np.ravel(getattr(params.net, name))))
 

@@ -56,30 +56,33 @@ def sgd(params: P, loss_and_grads: Callable[[P, int], tuple[float, dict]], n: in
     batch.  Returns the final parameters and the mean loss per epoch.
     Raises DegenerateData when an update leaves parameters that the
     dataclass rejects (a ValueError from its constructor, such as
-    non-finite values after divergence).
+    non-finite values after divergence).  Numpy's overflow and
+    invalid-value warnings are silenced during training, so that error
+    alone reports a diverging run.
     """
     epoch_losses: list[float] = []
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            summed: dict = {}
-            for idx in batch:
-                loss, grads = loss_and_grads(params, idx)
-                total += loss
-                if not summed:
-                    summed = grads
-                else:
-                    for key in summed:
-                        summed[key] += grads[key]
-            scale = 1.0 / len(batch)
-            try:
-                params = replace(params, **{
-                    key: getattr(params, key) - config.learning_rate * (grad * scale)
-                    for key, grad in summed.items()
-                })
-            except ValueError as exc:
-                raise DegenerateData(f"training diverged in epoch {epoch}: {exc}") from exc
-        epoch_losses.append(total / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                summed: dict = {}
+                for idx in batch:
+                    loss, grads = loss_and_grads(params, idx)
+                    total += loss
+                    if not summed:
+                        summed = grads
+                    else:
+                        for key in summed:
+                            summed[key] += grads[key]
+                scale = 1.0 / len(batch)
+                try:
+                    params = replace(params, **{
+                        key: getattr(params, key) - config.learning_rate * (grad * scale)
+                        for key, grad in summed.items()
+                    })
+                except ValueError as exc:
+                    raise DegenerateData(f"training diverged in epoch {epoch}: {exc}") from exc
+            epoch_losses.append(total / n)
     return params, epoch_losses

@@ -13,8 +13,8 @@ from typing import IO
 
 from . import attention, cnn, fusion, jaccard, metrics, tfidf
 from .corpus import BINARY, Dataset, LabeledPair
-from .embedding import (DEFAULT_OOV_SEED, EmbeddingTable, load_text_embeddings,
-                        parse_int, save_text_embeddings)
+from .embedding import (EmbeddingTable, load_text_embeddings, parse_int,
+                        save_text_embeddings)
 from .errors import EmptyEval, FormatError, LabelKindError, SimfuseError
 
 CALIBRATION_FACTORS = ("accuracy", "precision", "recall", "f1")
@@ -57,26 +57,19 @@ def component_scores(pair: LabeledPair, stats: tfidf.CorpusStats,
     return j, c, t
 
 
-def score_pair(pair: LabeledPair, stats: tfidf.CorpusStats, table: EmbeddingTable,
-               cnn_params: cnn.CnnParams, weights: fusion.FusionWeights,
-               fusion_params: fusion.FusionParams,
-               n_max: int = cnn.DEFAULT_N_MAX) -> PairScores:
+def score_with_bundle(bundle: ModelBundle, pair: LabeledPair) -> PairScores:
     """Run all three scorers, fuse, classify.  Pure and deterministic.
 
     A fusion error (a non-finite component score) is re-raised naming the pair.
     """
-    j, c, t = component_scores(pair, stats, table, cnn_params, n_max)
+    j, c, t = component_scores(pair, bundle.stats, bundle.table, bundle.cnn_params,
+                               bundle.n_max)
     try:
-        fused = fusion.fuse((j, c, t), weights, fusion_params)
+        fused = fusion.fuse((j, c, t), bundle.weights, bundle.fusion_params)
     except SimfuseError as exc:
         raise SimfuseError(f"pair {pair.id}: {exc}") from exc
     return PairScores(jaccard=j, w2vcnn=c, tfidf=t, fused=fused,
                       predicted=fusion.classify(fused))
-
-
-def score_with_bundle(bundle: ModelBundle, pair: LabeledPair) -> PairScores:
-    return score_pair(pair, bundle.stats, bundle.table, bundle.cnn_params,
-                      bundle.weights, bundle.fusion_params, bundle.n_max)
 
 
 def evaluate(dataset: Dataset, bundle: ModelBundle) -> metrics.MetricReport:
@@ -153,13 +146,13 @@ def load_stats(stream: IO[str]) -> tfidf.CorpusStats:
 # a bundle to a stream, a reader returns the ModelBundle fields it restores.
 _BUNDLE_FILES = (
     ("embeddings.txt", lambda b, f: save_text_embeddings(b.table, f),
-     lambda f, oov_seed: {"table": load_text_embeddings(f, oov_seed=oov_seed)}),
+     lambda f: {"table": load_text_embeddings(f)}),
     ("cnn.params", lambda b, f: cnn.save_cnn_params(b.cnn_params, f),
-     lambda f, _: {"cnn_params": cnn.load_cnn_params(f)}),
+     lambda f: {"cnn_params": cnn.load_cnn_params(f)}),
     ("fusion.params", lambda b, f: fusion.save_fusion_params(b.weights, b.fusion_params, f),
-     lambda f, _: dict(zip(("weights", "fusion_params"), fusion.load_fusion_params(f)))),
+     lambda f: dict(zip(("weights", "fusion_params"), fusion.load_fusion_params(f)))),
     ("stats.tsv", lambda b, f: save_stats(b.stats, f),
-     lambda f, _: {"stats": load_stats(f)}),
+     lambda f: {"stats": load_stats(f)}),
 )
 
 
@@ -172,20 +165,19 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
             writer(bundle, f)
 
 
-def load_bundle(directory: str | Path, n_max: int = cnn.DEFAULT_N_MAX,
-                oov_seed: int = DEFAULT_OOV_SEED) -> ModelBundle:
+def load_bundle(directory: str | Path, n_max: int = cnn.DEFAULT_N_MAX) -> ModelBundle:
     """Load a bundle directory written by save_bundle.
 
-    ``n_max`` and ``oov_seed`` are not stored in the bundle files and must
-    match the values used at training time.  A malformed, non-finite or
-    inconsistent file raises FormatError naming the file.
+    ``n_max`` is not stored in the bundle files and must match the value
+    used at training time.  A malformed, non-finite or inconsistent file
+    raises FormatError naming the file.
     """
     directory = Path(directory)
     fields: dict = {}
     for name, _, reader in _BUNDLE_FILES:
         try:
             with open(directory / name, encoding="utf-8") as f:
-                fields.update(reader(f, oov_seed))
+                fields.update(reader(f))
         except (SimfuseError, ValueError) as exc:
             raise FormatError(f"{name}: {exc}") from exc
     return ModelBundle(n_max=n_max, **fields)

@@ -21,7 +21,7 @@ from simfuse.corpus import Sentence
 from simfuse.fusion import (DEFAULT_WEIGHTS, DIFFERENT, SIMILAR, FusionParams,
                             calibrate_weights, classify, fuse)
 
-from conftest import separable_toy_set
+from toy import separable_toy_set
 
 #: Reference weight rows: per-model metric triple (jaccard, cnn, tfidf)
 #: and the expected (alpha, beta, gamma) it must reproduce within +-0.02.

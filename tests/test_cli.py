@@ -101,6 +101,19 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == [
             "error: training diverged in epoch 1: parameters must be finite"]
 
+    @pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
+    def test_diverging_learning_rate_exits_1_with_one_error_line(self, workdir, tmp_path,
+                                                                 capsys):
+        _, pairs, embeddings, _ = workdir
+        config = tmp_path / "huge_lr.cfg"
+        config.write_text("epochs = 5\nseed = 7\nfusion_mode = weighted_sum\n"
+                          "learning_rate = 1e12\n", encoding="utf-8")
+        status = main(["train", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                       "--out", str(tmp_path / "m"), "--config", str(config)])
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: training diverged in epoch 5: parameters must be finite"]
+
     def test_missing_pairs_flag_is_usage_error(self, workdir):
         tmp_path, _, embeddings, _ = workdir
         with pytest.raises(SystemExit) as excinfo:

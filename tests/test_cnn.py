@@ -11,7 +11,7 @@ from simfuse.corpus import GRADED, Dataset, Sentence
 from simfuse.embedding import EmbeddingTable, embed_sentence
 from simfuse.errors import ConfigError, LabelKindError
 
-from conftest import separable_toy_set
+from toy import separable_toy_set
 
 
 def _matrix(rows):
@@ -152,8 +152,8 @@ class TestTraining:
     def test_deterministic_for_fixed_seed(self):
         dataset, table = separable_toy_set(n_per_class=5, dim=8)
         config = TrainConfig(epochs=3, seed=42)
-        p1, l1 = cnn_train(dataset, table, config, n_filters=4, hidden=4)
-        p2, l2 = cnn_train(dataset, table, config, n_filters=4, hidden=4)
+        p1, l1 = cnn_train(dataset, table, config)
+        p2, l2 = cnn_train(dataset, table, config)
         assert l1 == l2
         np.testing.assert_array_equal(p1.filters, p2.filters)
         np.testing.assert_array_equal(p1.dense_w, p2.dense_w)

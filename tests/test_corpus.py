@@ -3,8 +3,7 @@ import io
 import pytest
 
 from simfuse.corpus import (BINARY, GRADED, ZERO_IS_SIMILAR, Dataset,
-                            LabeledPair, Sentence, Token,
-                            assign_roles_heuristic, parse_annotated,
+                            LabeledPair, Sentence, Token, parse_annotated,
                             parse_pair_file, serialize_pairs, tokenize)
 from simfuse.errors import EmptySentence, FormatError
 
@@ -63,48 +62,6 @@ class TestParseAnnotated:
     def test_unknown_role(self):
         with pytest.raises(FormatError):
             parse_annotated("cat|NOUN|BOSS")
-
-
-class TestAssignRolesHeuristic:
-    def test_subject_predicate_object(self):
-        s = parse_annotated("cat|NOUN|_ chases|VERB|_ mice|NOUN|_")
-        out = assign_roles_heuristic(s)
-        assert [t.role for t in out] == ["SUBJ", "PRED", "OBJ"]
-
-    def test_fully_annotated_unchanged(self):
-        s = parse_annotated("cat|NOUN|OBJ runs|VERB|PRED now|_|NONE")
-        assert assign_roles_heuristic(s) == s
-
-    def test_no_noun_falls_back_to_first_token(self):
-        out = assign_roles_heuristic(parse_annotated("quickly|ADV|_"))
-        assert [t.role for t in out] == ["SUBJ"]
-
-    def test_single_token_branches(self):
-        # A lone role-less token always ends up SUBJ: via the first-NOUN
-        # rule when tagged NOUN, via the no-NOUN fallback otherwise (the
-        # SUBJ assignment then starves the PRED rule of candidates).
-        for pos in ["NOUN", "VERB", "ADV", "_"]:
-            out = assign_roles_heuristic(parse_annotated(f"word|{pos}|_"))
-            assert [t.role for t in out] == ["SUBJ"]
-
-    def test_idempotent(self):
-        s = parse_annotated("cat|NOUN|_ chases|VERB|_ mice|NOUN|_ fast|ADV|_")
-        once = assign_roles_heuristic(s)
-        assert assign_roles_heuristic(once) == once
-
-    def test_never_duplicates_core_roles(self):
-        s = parse_annotated("a|NOUN|_ b|NOUN|_ c|VERB|_ d|VERB|_ e|NOUN|_")
-        out = assign_roles_heuristic(s)
-        roles = [t.role for t in out]
-        for core in ("SUBJ", "PRED", "OBJ"):
-            assert roles.count(core) <= 1
-        assert None not in roles
-
-    def test_existing_roles_not_overwritten(self):
-        s = parse_annotated("cat|NOUN|OBJ dog|NOUN|_")
-        out = assign_roles_heuristic(s)
-        assert out.tokens[0].role == "OBJ"
-        assert out.tokens[1].role == "SUBJ"
 
 
 class TestParsePairFile:

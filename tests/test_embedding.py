@@ -278,11 +278,6 @@ class TestLookup:
         for word in ["x", "yy", "zzz", "Ω"]:
             assert np.linalg.norm(lookup(table, word)) == pytest.approx(1.0, abs=1e-9)
 
-    def test_oov_depends_on_seed(self):
-        t0 = EmbeddingTable(dim=8, vectors={}, oov_seed=0)
-        t1 = EmbeddingTable(dim=8, vectors={}, oov_seed=1)
-        assert not np.allclose(lookup(t0, "word"), lookup(t1, "word"))
-
     def test_oov_differs_across_surfaces(self):
         table = EmbeddingTable(dim=8, vectors={})
         assert not np.allclose(lookup(table, "one"), lookup(table, "two"))

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from simfuse.cnn import TrainConfig, cnn_train, init_params
@@ -7,11 +6,11 @@ from simfuse.errors import EmptyEval, LabelKindError
 from simfuse.fusion import (DEFAULT_WEIGHTS, SIMILAR, WEIGHTED_SUM,
                             FusionParams, calibrate_weights)
 from simfuse.pipeline import (ModelBundle, calibrate, component_scores,
-                              evaluate, load_bundle, save_bundle, score_pair,
+                              evaluate, load_bundle, save_bundle,
                               score_with_bundle, weights_from_scores)
 from simfuse.tfidf import build_stats
 
-from conftest import separable_toy_set
+from toy import separable_toy_set
 
 
 def _pair(pid, a, b, label=1.0):
@@ -23,8 +22,7 @@ def _pair(pid, a, b, label=1.0):
 def small_bundle():
     dataset, table = separable_toy_set(n_per_class=5, dim=8)
     stats = build_stats(dataset)
-    params, _ = cnn_train(dataset, table, TrainConfig(epochs=3, seed=11),
-                          n_filters=4, hidden=4)
+    params, _ = cnn_train(dataset, table, TrainConfig(epochs=3, seed=11))
     bundle = ModelBundle(stats=stats, table=table, cnn_params=params,
                          weights=DEFAULT_WEIGHTS,
                          fusion_params=FusionParams(mode=WEIGHTED_SUM))
