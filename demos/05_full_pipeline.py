@@ -55,7 +55,8 @@ triples = [component_scores(p, stats, table, cnn_params) for p in dataset]
 fusion_params, _ = train_fusion(triples, [p.label for p in dataset], weights,
                                 TrainConfig(learning_rate=0.5, epochs=400, seed=5))
 
-# Stage 4: persist the bundle (4 files) and reload it.
+# Stage 4: persist the bundle (v2: manifest.tsv, vocab.txt, embeddings.npy and
+# the three parameter files) and reload it.
 bundle = ModelBundle(stats=stats, table=table, cnn_params=cnn_params,
                      weights=weights, fusion_params=fusion_params)
 with tempfile.TemporaryDirectory() as tmp:

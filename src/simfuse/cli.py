@@ -43,6 +43,9 @@ class CliConfig:
     fusion_mode: str = LEARNED
     weighting_factor: str = "accuracy"
     train_config: TrainConfig = field(init=False, repr=False, compare=False)
+    # the keys a config file set; parse_config_file fills it in
+    file_keys: frozenset[str] = field(default=frozenset(), init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -89,7 +92,9 @@ def parse_config_file(path: str) -> CliConfig:
                 overrides[key] = _CONFIG_PARSERS[key](value)
             except ValueError:
                 raise ConfigError(f"config line {lineno}: bad value for {key!r}") from None
-    return CliConfig(**overrides)
+    config = CliConfig(**overrides)
+    config.file_keys = frozenset(overrides)
+    return config
 
 
 def _resolve_config(args: argparse.Namespace) -> CliConfig:
@@ -120,6 +125,13 @@ def _read(path: str, parse: Callable[[IO[str]], T]) -> T:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def _load_bundle(args: argparse.Namespace, config: CliConfig) -> pipeline.ModelBundle:
+    # A v2 bundle knows its n_max; pass one only when the config file sets
+    # it, so that a value differing from the bundle's is an error.
+    n_max = config.n_max if "n_max" in config.file_keys else None
+    return pipeline.load_bundle(args.model, n_max=n_max)
 
 
 def _fmt(x: float) -> str:
@@ -162,7 +174,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    bundle = pipeline.load_bundle(args.model, n_max=config.n_max)
+    bundle = _load_bundle(args, config)
     dataset = _read(args.pairs, lambda f: parse_pair_file(f, BINARY, config.label_convention))
     for pair in dataset:
         scores = pipeline.score_with_bundle(bundle, pair)
@@ -206,7 +218,7 @@ def _print_report(report: MetricReport, graded: bool) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    bundle = pipeline.load_bundle(args.model, n_max=config.n_max)
+    bundle = _load_bundle(args, config)
     kind = GRADED if args.graded else BINARY
     dataset = _read(args.pairs, lambda f: parse_pair_file(f, kind, config.label_convention))
     if args.graded:

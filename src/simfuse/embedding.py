@@ -1,5 +1,6 @@
-"""Word-vector tables in the word2vec text format, and the (L, dim) matrix
-of a sentence's token vectors.
+"""Word-vector tables in the word2vec text format and as raw float64 rows
+(an npy 1.0 matrix plus a vocab list, the form a model bundle stores), and
+the (L, dim) matrix of a sentence's token vectors.
 
 The ``.17g`` row codec here (``format_row``/``parse_row``) is shared by the
 embedding, CNN and fusion files.  Rows are written with one ``%`` operation
@@ -16,17 +17,22 @@ across processes and runs.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import Sentence
 from .errors import FormatError
 
-# Lines per np.loadtxt call when reading an embeddings file: larger blocks
-# parse no faster and raise peak memory.
+# Lines per np.loadtxt call when reading an embeddings file, and rows per
+# read or write of an npy matrix: larger blocks parse no faster and raise
+# peak memory.
 BLOCK_ROWS = 256
+
+# The one dtype of an npy matrix of rows: little-endian float64.
+ROW_DTYPE = np.dtype("<f8")
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,78 @@ def save_text_embeddings(table: EmbeddingTable, stream: IO[str]) -> None:
     stream.write(f"{len(table.vectors)} {table.dim}\n")
     for surface in sorted(table.vectors):
         stream.write(format_row(surface, table.vectors[surface]))
+
+
+def save_vocab(surfaces: Iterable[str], stream: IO[str]) -> None:
+    """One surface per line; exact, since no surface holds a line break (the
+    word2vec reader splits surfaces at whitespace)."""
+    stream.writelines(f"{surface}\n" for surface in surfaces)
+
+
+def load_vocab(stream: IO[str]) -> list[str]:
+    """The surfaces of a vocab file, in order; FormatError naming the line
+    of a surface that repeats."""
+    surfaces = stream.read().splitlines()
+    seen: set[str] = set()
+    for lineno, surface in enumerate(surfaces, start=1):
+        if surface in seen:
+            raise FormatError(f"line {lineno}: repeated surface {surface!r}")
+        seen.add(surface)
+    return surfaces
+
+
+def save_npy_table(table: EmbeddingTable, surfaces: Sequence[str], stream: BinaryIO) -> None:
+    """The vectors of ``surfaces``, in that order, as one npy 1.0 array: a
+    ``<f8``, C-order ``(len(surfaces), dim)`` header, then the rows, written
+    BLOCK_ROWS at a time so that the whole matrix is never built."""
+    np.lib.format.write_array_header_1_0(
+        stream, {"descr": ROW_DTYPE.str, "fortran_order": False,
+                 "shape": (len(surfaces), table.dim)})
+    for start in range(0, len(surfaces), BLOCK_ROWS):
+        rows = [table.vectors[surface] for surface in surfaces[start:start + BLOCK_ROWS]]
+        stream.write(np.asarray(rows, dtype=ROW_DTYPE).tobytes())
+
+
+def load_npy_table(stream: BinaryIO, surfaces: Sequence[str]) -> EmbeddingTable:
+    """The table whose vector for ``surfaces[i]`` is row ``i`` of an npy 1.0
+    file as save_npy_table writes it.
+
+    The header is checked before any data is read, so neither an object
+    dtype (which would need unpickling) nor a shape larger than the file
+    gets that far.  The rows are read BLOCK_ROWS at a time, and each vector
+    is a row of its block, as load_text_embeddings stores them.  One
+    ``(V, d)`` array instead added a table's size to the peak memory of a
+    process that loads tables repeatedly: freeing so large a block raises
+    the allocator's mmap threshold, so the smaller blocks of later tables
+    stay resident on the heap beside the next large one.  Raises
+    FormatError on another npy version, a dtype other than ``<f8``, Fortran
+    order, a shape that is not 2-D or not ``len(surfaces)`` long, a data
+    size that does not match the shape, and a non-finite value.
+    """
+    version = np.lib.format.read_magic(stream)
+    if version != (1, 0):
+        raise FormatError(f"npy version {version[0]}.{version[1]}, expected 1.0")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(stream)
+    if dtype != ROW_DTYPE or fortran_order:
+        raise FormatError(f"expected C-order float64 ({ROW_DTYPE.str}) values, got "
+                          f"{'Fortran-order ' if fortran_order else ''}{dtype.str}")
+    if len(shape) != 2:
+        raise FormatError(f"expected a 2-D array, got shape {shape}")
+    n_rows, dim = shape
+    if n_rows != len(surfaces):
+        raise FormatError(f"{n_rows} rows for {len(surfaces)} surfaces")
+    if os.fstat(stream.fileno()).st_size - stream.tell() != n_rows * dim * ROW_DTYPE.itemsize:
+        raise FormatError(f"data size does not match the shape {shape}")
+    vectors: dict[str, np.ndarray] = {}
+    for start in range(0, n_rows, BLOCK_ROWS):
+        names = surfaces[start:start + BLOCK_ROWS]
+        block = np.fromfile(stream, dtype=ROW_DTYPE, count=len(names) * dim)
+        block = block.reshape(len(names), dim)
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise FormatError(f"non-finite value in the row of {names[int(np.argmin(finite))]!r}")
+        vectors.update(zip(names, block))
+    return EmbeddingTable(dim=dim, vectors=vectors)
 
 
 def _oov_vector(surface: str, dim: int) -> np.ndarray:

@@ -1,20 +1,27 @@
 """End-to-end orchestration: run the three scorers on a pair, calibrate
 fusion weights on a validation split, fuse, and evaluate.
 
-A model bundle is a directory of four files: ``embeddings.txt`` (word2vec
-text format), ``cnn.params``, ``fusion.params`` and ``stats.tsv``.
+A model bundle is a directory.  ``save_bundle`` writes format v2:
+``cnn.params``, ``fusion.params`` and ``stats.tsv`` (text), the embedding
+table as ``vocab.txt`` (the sorted surfaces) plus ``embeddings.npy`` (their
+rows, float64), and ``manifest.tsv`` (the format version, ``n_max`` and a
+sha256 per other file).  A v1 bundle, the same three text files plus the
+table as word2vec text in ``embeddings.txt`` and no manifest, still loads.
 """
 
 from __future__ import annotations
 
+import hashlib
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterator
 
 from . import attention, cnn, fusion, jaccard, metrics, tfidf
 from .corpus import BINARY, Dataset, LabeledPair
-from .embedding import (EmbeddingTable, load_text_embeddings, parse_int,
-                        save_text_embeddings)
+from .embedding import (EmbeddingTable, load_npy_table, load_text_embeddings,
+                        load_vocab, parse_int, save_npy_table, save_vocab)
 from .errors import EmptyEval, FormatError, LabelKindError, SimfuseError
 
 CALIBRATION_FACTORS = ("accuracy", "precision", "recall", "f1")
@@ -142,11 +149,16 @@ def load_stats(stream: IO[str]) -> tfidf.CorpusStats:
     return tfidf.CorpusStats(total_pairs=total, pair_doc_freq=freq)
 
 
-# (file name, writer, reader) per bundle file: a writer saves its part of
-# a bundle to a stream, a reader returns the ModelBundle fields it restores.
-_BUNDLE_FILES = (
-    ("embeddings.txt", lambda b, f: save_text_embeddings(b.table, f),
-     lambda f: {"table": load_text_embeddings(f)}),
+BUNDLE_FORMAT = "simfuse-bundle v2"
+MANIFEST, VOCAB, MATRIX = "manifest.tsv", "vocab.txt", "embeddings.npy"
+V1_EMBEDDINGS = "embeddings.txt"
+_HASH_BLOCK = 1 << 20
+_HEX_DIGEST = re.compile("[0-9a-f]{64}")
+
+# (file name, writer, reader) per text file of both bundle formats: a writer
+# saves its part of a bundle to a stream, a reader returns the ModelBundle
+# fields it restores.
+_PARAM_FILES = (
     ("cnn.params", lambda b, f: cnn.save_cnn_params(b.cnn_params, f),
      lambda f: {"cnn_params": cnn.load_cnn_params(f)}),
     ("fusion.params", lambda b, f: fusion.save_fusion_params(b.weights, b.fusion_params, f),
@@ -154,30 +166,114 @@ _BUNDLE_FILES = (
     ("stats.tsv", lambda b, f: save_stats(b.stats, f),
      lambda f: {"stats": load_stats(f)}),
 )
+_V1_TABLE_FILE = (V1_EMBEDDINGS, None, lambda f: {"table": load_text_embeddings(f)})
+# the files manifest.tsv holds a sha256 of, in its order
+HASHED_FILES = tuple(name for name, _, _ in _PARAM_FILES) + (VOCAB, MATRIX)
+
+
+@contextmanager
+def _naming(name: str) -> Iterator[None]:
+    """Turns an error met while handling bundle file ``name`` into a
+    FormatError that names it."""
+    try:
+        yield
+    except (SimfuseError, ValueError, OSError) as exc:
+        raise FormatError(f"{name}: {exc}") from exc
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
-    """Write the four bundle files; output is byte-deterministic."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, writer, _ in _BUNDLE_FILES:
-        with open(directory / name, "w", encoding="utf-8", newline="\n") as f:
-            writer(bundle, f)
+    """Write a v2 bundle; output is byte-deterministic.
 
-
-def load_bundle(directory: str | Path, n_max: int = cnn.DEFAULT_N_MAX) -> ModelBundle:
-    """Load a bundle directory written by save_bundle.
-
-    ``n_max`` is not stored in the bundle files and must match the value
-    used at training time.  A malformed, non-finite or inconsistent file
-    raises FormatError naming the file.
+    manifest.tsv is written last.  Saving into a directory that holds a v1
+    bundle migrates it: the manifest makes load_bundle read v2, and the old
+    embeddings.txt is left in place, unread.
     """
     directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, writer, _ in _PARAM_FILES:
+        with open(directory / name, "w", encoding="utf-8", newline="\n") as f:
+            writer(bundle, f)
+    surfaces = sorted(bundle.table.vectors)
+    with open(directory / VOCAB, "w", encoding="utf-8", newline="\n") as f:
+        save_vocab(surfaces, f)
+    with open(directory / MATRIX, "wb") as f:
+        save_npy_table(bundle.table, surfaces, f)
+    lines = [BUNDLE_FORMAT, f"n_max\t{bundle.n_max}"]
+    lines += [f"sha256\t{name}\t{_sha256(directory / name)}" for name in HASHED_FILES]
+    with open(directory / MANIFEST, "w", encoding="utf-8", newline="\n") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+def _read_manifest(path: Path) -> tuple[int, dict[str, str]]:
+    """(n_max, {file name: sha256 hex digest}) of a manifest.tsv."""
+    lines = path.read_text(encoding="utf-8").splitlines() or [""]
+    if lines[0] != BUNDLE_FORMAT:
+        raise FormatError(f"line 1: expected {BUNDLE_FORMAT!r}, got {lines[0]!r}")
+    n_max, digests = None, {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split("\t")
+        if fields[0] == "n_max" and len(fields) == 2:
+            n_max = parse_int(fields[1], lineno, "n_max")
+            if n_max < 1:
+                raise FormatError(f"line {lineno}: n_max must be >= 1")
+        elif (fields[0] == "sha256" and len(fields) == 3 and fields[1] in HASHED_FILES
+              and _HEX_DIGEST.fullmatch(fields[2])):
+            digests[fields[1]] = fields[2]
+        else:
+            raise FormatError(f"line {lineno}: expected n_max<TAB>N or "
+                              "sha256<TAB>file<TAB>64 hex digits")
+    if n_max is None:
+        raise FormatError("no n_max line")
+    for name in HASHED_FILES:
+        if name not in digests:
+            raise FormatError(f"no sha256 line for {name}")
+    return n_max, digests
+
+
+def _read_text_files(directory: Path, files) -> dict:
     fields: dict = {}
-    for name, _, reader in _BUNDLE_FILES:
-        try:
-            with open(directory / name, encoding="utf-8") as f:
-                fields.update(reader(f))
-        except (SimfuseError, ValueError) as exc:
-            raise FormatError(f"{name}: {exc}") from exc
-    return ModelBundle(n_max=n_max, **fields)
+    for name, _, reader in files:
+        with _naming(name), open(directory / name, encoding="utf-8") as f:
+            fields.update(reader(f))
+    return fields
+
+
+def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
+    """Load a bundle directory written by save_bundle, or a v1 bundle.
+
+    A v2 bundle's ``n_max`` comes from its manifest; an ``n_max`` given here
+    that differs is a FormatError.  Before anything is parsed, each file's
+    sha256 is checked against the manifest.  A directory without
+    manifest.tsv is read as v1, whose ``n_max`` is the one given here
+    (DEFAULT_N_MAX when None).  A missing, malformed, non-finite or
+    inconsistent file raises FormatError naming the file.
+    """
+    directory = Path(directory)
+    if not (directory / MANIFEST).exists():
+        if not (directory / V1_EMBEDDINGS).exists():
+            raise FormatError(f"{MANIFEST}: not in {directory}, and neither is a v1 "
+                              f"{V1_EMBEDDINGS}")
+        fields = _read_text_files(directory, (_V1_TABLE_FILE,) + _PARAM_FILES)
+        return ModelBundle(n_max=cnn.DEFAULT_N_MAX if n_max is None else n_max, **fields)
+    with _naming(MANIFEST):
+        saved_n_max, digests = _read_manifest(directory / MANIFEST)
+        if n_max is not None and n_max != saved_n_max:
+            raise FormatError(f"bundle was trained with n_max {saved_n_max}, got {n_max}")
+    for name in HASHED_FILES:
+        with _naming(name):
+            if _sha256(directory / name) != digests[name]:
+                raise FormatError(f"sha256 does not match {MANIFEST}")
+    fields = _read_text_files(directory, _PARAM_FILES)
+    with _naming(VOCAB), open(directory / VOCAB, encoding="utf-8") as f:
+        vocab = load_vocab(f)
+    with _naming(MATRIX), open(directory / MATRIX, "rb") as f:
+        table = load_npy_table(f, vocab)
+    return ModelBundle(n_max=saved_n_max, table=table, **fields)

@@ -286,8 +286,11 @@ def test_criterion_4_training_determinism(tmp_path):
                            str(embeddings), "--out", str(out), "--config", str(config)])
         assert status == 0
         outputs.append(out)
+    names = sorted(p.name for p in outputs[0].iterdir())
+    assert names == ["cnn.params", "embeddings.npy", "fusion.params", "manifest.tsv",
+                     "stats.tsv", "vocab.txt"]
     same = all(
         (outputs[0] / f).read_bytes() == (outputs[1] / f).read_bytes()
-        for f in ("embeddings.txt", "cnn.params", "fusion.params", "stats.tsv")
-    )
-    _criterion("training-determinism", same, "4/4 bundle files byte-identical")
+        for f in names
+    ) and sorted(p.name for p in outputs[1].iterdir()) == names
+    _criterion("training-determinism", same, "6/6 bundle files byte-identical")

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from simfuse.cli import main, parse_config_file
+from simfuse.corpus import BINARY, parse_pair_file
 from simfuse.errors import ConfigError
 from simfuse.fusion import fuse
-from simfuse.pipeline import load_bundle
+from simfuse.pipeline import load_bundle, score_with_bundle
 
 PAIRS = """1\tred apple\tred apple\t1
 2\tgreen pear\tgreen pear\t1
@@ -49,7 +51,8 @@ class TestTrain:
         out = _train(workdir)
         captured = capsys.readouterr()
         names = sorted(p.name for p in out.iterdir())
-        assert names == ["cnn.params", "embeddings.txt", "fusion.params", "stats.tsv"]
+        assert names == ["cnn.params", "embeddings.npy", "fusion.params", "manifest.tsv",
+                         "stats.tsv", "vocab.txt"]
         lines = captured.out.splitlines()
         assert sum(1 for l in lines if l.startswith("cnn_epoch\t")) == 5
         # weighted_sum mode fits no combiner, so it prints no combiner losses
@@ -228,6 +231,57 @@ class TestScore:
             )
             results.append(proc.stdout)
         assert results[0] == results[1]
+
+
+class TestNMaxFromTheBundle:
+    LONG = VOCAB + VOCAB[:8]  # 20 tokens, more than n_max = 16
+
+    def _train_with_n_max_16(self, workdir):
+        tmp_path, pairs, embeddings, _ = workdir
+        config = tmp_path / "n16.cfg"
+        config.write_text("epochs = 5\nseed = 7\nfusion_mode = weighted_sum\nn_max = 16\n",
+                          encoding="utf-8")
+        long_pairs = tmp_path / "long.tsv"
+        long_pairs.write_text(PAIRS + f"5\t{' '.join(self.LONG)}\t{' '.join(self.LONG[::-1])}\t0\n",
+                              encoding="utf-8")
+        assert main(["train", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--out", str(tmp_path / "m16"), "--config", str(config)]) == 0
+        return tmp_path / "m16", long_pairs, config
+
+    def test_score_without_a_config_uses_the_trained_n_max(self, workdir, capsys):
+        model, long_pairs, config = self._train_with_n_max_16(workdir)
+        outputs = []
+        for extra in ([], ["--config", str(config)]):
+            capsys.readouterr()
+            assert main(["score", "--model", str(model), "--pairs", str(long_pairs)] + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 5
+        # the truncation length shows in the long pair's CNN score
+        bundle = load_bundle(model)
+        assert bundle.n_max == 16
+        with open(long_pairs, encoding="utf-8") as f:
+            long_pair = parse_pair_file(f, BINARY).pairs[-1]
+        assert (score_with_bundle(bundle, long_pair).w2vcnn
+                != score_with_bundle(dataclasses.replace(bundle, n_max=32), long_pair).w2vcnn)
+
+    def test_a_config_with_another_n_max_exits_1(self, workdir, tmp_path, capsys):
+        model, long_pairs, _ = self._train_with_n_max_16(workdir)
+        config = tmp_path / "n8.cfg"
+        config.write_text("n_max = 8\n", encoding="utf-8")
+        capsys.readouterr()
+        for command in ("score", "eval"):
+            assert main([command, "--model", str(model), "--pairs", str(long_pairs),
+                         "--config", str(config)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "error: manifest.tsv: bundle was trained with n_max 16, got 8"]
+
+    def test_config_file_records_the_keys_it_sets(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = 3\nepochs = 2\n", encoding="utf-8")
+        assert parse_config_file(str(path)).file_keys == {"seed", "epochs"}
 
 
 class TestEval:

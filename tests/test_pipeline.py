@@ -165,14 +165,17 @@ class TestBundleIO:
         second = tmp_path / "second"
         save_bundle(bundle, first)
         save_bundle(load_bundle(first), second)
-        for name in ("embeddings.txt", "cnn.params", "fusion.params", "stats.tsv"):
+        names = sorted(p.name for p in first.iterdir())
+        assert sorted(p.name for p in second.iterdir()) == names
+        for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_expected_files_present(self, small_bundle, tmp_path):
         _, bundle = small_bundle
         save_bundle(bundle, tmp_path / "model")
         names = sorted(p.name for p in (tmp_path / "model").iterdir())
-        assert names == ["cnn.params", "embeddings.txt", "fusion.params", "stats.tsv"]
+        assert names == ["cnn.params", "embeddings.npy", "fusion.params", "manifest.tsv",
+                         "stats.tsv", "vocab.txt"]
 
     def test_stats_round_trip(self, small_bundle, tmp_path):
         _, bundle = small_bundle
