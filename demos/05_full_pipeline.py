@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""End to end: ingest a pair file, train everything, calibrate, persist a
-model bundle, reload it and evaluate -- the library path mirrored by the
-`simfuse train/score/eval` commands.
+"""End to end: ingest a pair file, train everything with one train_bundle
+call, persist the model bundle, reload it and evaluate -- the library calls
+behind the `simfuse train/score/eval` commands.
 
 Run with: python demos/05_full_pipeline.py
 """
@@ -12,11 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from simfuse import (BINARY, DEFAULT_WEIGHTS, FusionParams, ModelBundle,
-                     TrainConfig, build_stats, calibrate, cnn_train, evaluate,
-                     load_bundle, load_text_embeddings, parse_pair_file,
-                     save_bundle, score_with_bundle, train_fusion)
-from simfuse.pipeline import component_scores
+from simfuse import (BINARY, LEARNED, TrainConfig, evaluate, load_bundle,
+                     load_text_embeddings, parse_pair_file, save_bundle,
+                     score_with_bundle, train_bundle)
+from simfuse.cnn import DEFAULT_N_MAX
 
 pairs_tsv = """\
 1\tmy card is locked\tmy card is locked\t1
@@ -37,34 +36,27 @@ emb_text = "\n".join(
 table = load_text_embeddings(io.StringIO(emb_text))
 print(f"{len(dataset)} pairs, {len(vocab)} vocabulary words, dim {table.dim}")
 
-# Stage 1: corpus statistics and the trained CNN scorer.
-stats = build_stats(dataset)
-cnn_params, losses = cnn_train(dataset, table, TrainConfig(epochs=40, seed=5))
-print(f"cnn loss {losses[0]:.4f} -> {losses[-1]:.4f}")
+# Stage 1: train.  train_bundle builds the corpus statistics, trains the
+# CNN scorer, calibrates the fusion weights from each scorer's standalone
+# accuracy on the training pairs, and fits the combiner on the weighted
+# score triples.  Six pairs make one batch per epoch, so the demo uses a
+# hotter learning rate than the default.
+bundle, cnn_losses, fusion_losses = train_bundle(
+    dataset, table, TrainConfig(learning_rate=0.5, epochs=200, seed=5),
+    n_max=DEFAULT_N_MAX, fusion_mode=LEARNED, factor="accuracy")
+print(f"cnn loss {cnn_losses[0]:.4f} -> {cnn_losses[-1]:.4f}")
+print(f"combiner loss {fusion_losses[0]:.4f} -> {fusion_losses[-1]:.4f}")
+w = bundle.weights
+print(f"calibrated weights: {w.alpha:.3f} {w.beta:.3f} {w.gamma:.3f}")
 
-# Stage 2: calibrate fusion weights from each scorer's standalone accuracy
-# on a validation split (here: the training pairs themselves).
-draft = ModelBundle(stats=stats, table=table, cnn_params=cnn_params,
-                    weights=DEFAULT_WEIGHTS, fusion_params=FusionParams())
-weights = calibrate(dataset, draft, factor="accuracy")
-print(f"calibrated weights: {weights.alpha:.3f} {weights.beta:.3f} {weights.gamma:.3f}")
-
-# Stage 3: train the shallow combiner on the weighted score triples.  Six
-# pairs means one batch per epoch, so give it a hotter learning rate.
-triples = [component_scores(p, stats, table, cnn_params) for p in dataset]
-fusion_params, _ = train_fusion(triples, [p.label for p in dataset], weights,
-                                TrainConfig(learning_rate=0.5, epochs=400, seed=5))
-
-# Stage 4: persist the bundle (v2: manifest.tsv, vocab.txt, embeddings.npy and
+# Stage 2: persist the bundle (v2: manifest.tsv, vocab.txt, embeddings.npy and
 # the three parameter files) and reload it.
-bundle = ModelBundle(stats=stats, table=table, cnn_params=cnn_params,
-                     weights=weights, fusion_params=fusion_params)
 with tempfile.TemporaryDirectory() as tmp:
     save_bundle(bundle, Path(tmp) / "model")
     reloaded = load_bundle(Path(tmp) / "model")
     print(f"bundle files: {sorted(p.name for p in (Path(tmp) / 'model').iterdir())}")
 
-    # Stage 5: score and evaluate with the reloaded model.
+    # Stage 3: score and evaluate with the reloaded model.
     print("\nid  jaccard  w2vcnn  tfidf  fused  predicted")
     for pair in dataset:
         s = score_with_bundle(reloaded, pair)

@@ -3,7 +3,9 @@
 Three independent similarity signals (pair-scoped TF-IDF cosine, a
 grammatical-role-weighted Jaccard coefficient, and an attention-weighted
 convolutional scorer over word embeddings) are combined with per-model
-weights calibrated from validation metrics.
+weights calibrated from each scorer's standalone metric.  ``train_bundle``
+trains all of it; it calibrates on the training pairs, where the paper uses
+a validation split (ROADMAP aim 3).
 """
 
 from .attention import (apply_attention, attention_weights, cosine_matrix,
@@ -27,8 +29,8 @@ from .jaccard import CoOccurrence, co_occurrence, component_weight, jaccard_scor
 from .metrics import (MetricReport, confusion_counts, prf_metrics,
                       rank_correlations)
 from .nn import TrainConfig
-from .pipeline import (ModelBundle, PairScores, calibrate, component_scores,
-                       evaluate, load_bundle, save_bundle, score_with_bundle)
+from .pipeline import (ModelBundle, PairScores, component_scores, evaluate,
+                       load_bundle, save_bundle, score_with_bundle, train_bundle)
 from .tfidf import (CorpusStats, TfIdfVector, build_stats, cosine_sim, idf,
                     term_frequency, tfidf_vector)
 

@@ -14,15 +14,14 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, TypeVar
 
 from . import pipeline
-from .cnn import DEFAULT_N_MAX, cnn_train
+from .cnn import DEFAULT_N_MAX
 from .corpus import (BINARY, GRADED, ONE_IS_SIMILAR, ZERO_IS_SIMILAR, Dataset,
                      parse_pair_file)
 from .embedding import load_text_embeddings
 from .errors import ConfigError, FormatError, SimfuseError
-from .fusion import LEARNED, WEIGHTED_SUM, FusionParams, train_fusion
+from .fusion import LEARNED, WEIGHTED_SUM
 from .metrics import MetricReport
 from .nn import TrainConfig
-from .tfidf import build_stats
 
 EMBEDDINGS_ENV_VAR = "SIMFUSE_EMBEDDINGS"
 
@@ -77,21 +76,20 @@ _CONFIG_PARSERS = {
 
 def parse_config_file(path: str) -> CliConfig:
     overrides = {}
-    with open(path, encoding="utf-8") as stream:
-        for lineno, line in enumerate(stream, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"config line {lineno}: expected key = value")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_PARSERS:
-                raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-            try:
-                overrides[key] = _CONFIG_PARSERS[key](value)
-            except ValueError:
-                raise ConfigError(f"config line {lineno}: bad value for {key!r}") from None
+    for lineno, line in enumerate(_read(path, list), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"config line {lineno}: expected key = value")
+        key, value = key.strip(), value.strip()
+        if key not in _CONFIG_PARSERS:
+            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            overrides[key] = _CONFIG_PARSERS[key](value)
+        except ValueError:
+            raise ConfigError(f"config line {lineno}: bad value for {key!r}") from None
     config = CliConfig(**overrides)
     config.file_keys = frozenset(overrides)
     return config
@@ -142,32 +140,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     embeddings_path = _resolve_embeddings(args, config)
     dataset = _read(args.pairs, lambda f: parse_pair_file(f, BINARY, config.label_convention))
-    stats = build_stats(dataset)
     table = _read(embeddings_path, load_text_embeddings)
-    cnn_params, cnn_losses = cnn_train(dataset, table, config.train_config,
-                                       n_max=config.n_max)
+    bundle, cnn_losses, fusion_losses = pipeline.train_bundle(
+        dataset, table, config.train_config, n_max=config.n_max,
+        fusion_mode=config.fusion_mode, factor=config.weighting_factor)
     for epoch, loss in enumerate(cnn_losses, start=1):
         print(f"cnn_epoch\t{epoch}\t{_fmt(loss)}")
-
-    triples = [
-        pipeline.component_scores(pair, stats, table, cnn_params, config.n_max)
-        for pair in dataset
-    ]
-    gold = [pair.label >= 0.5 for pair in dataset]
-    weights = pipeline.weights_from_scores(triples, gold, config.weighting_factor)
-
-    fusion_params = FusionParams(mode=WEIGHTED_SUM, net=None)
-    if config.fusion_mode == LEARNED:
-        fusion_params, fusion_losses = train_fusion(
-            triples, [pair.label for pair in dataset], weights, config.train_config)
-        for epoch, loss in enumerate(fusion_losses, start=1):
-            print(f"fusion_epoch\t{epoch}\t{_fmt(loss)}")
-
+    for epoch, loss in enumerate(fusion_losses, start=1):
+        print(f"fusion_epoch\t{epoch}\t{_fmt(loss)}")
+    weights = bundle.weights
     print(f"weights\t{_fmt(weights.alpha)}\t{_fmt(weights.beta)}\t{_fmt(weights.gamma)}")
-    bundle = pipeline.ModelBundle(
-        stats=stats, table=table, cnn_params=cnn_params, weights=weights,
-        fusion_params=fusion_params, n_max=config.n_max,
-    )
     pipeline.save_bundle(bundle, args.out)
     return 0
 

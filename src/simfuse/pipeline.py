@@ -1,5 +1,9 @@
-"""End-to-end orchestration: run the three scorers on a pair, calibrate
-fusion weights on a validation split, fuse, and evaluate.
+"""End-to-end orchestration: train a model bundle, run the three scorers on
+a pair, fuse, and evaluate.
+
+``train_bundle`` is the one training recipe.  The fusion weights come from
+each scorer's standalone metric over the training pairs themselves; the
+paper calibrates them on a validation split (ROADMAP aim 3).
 
 A model bundle is a directory.  ``save_bundle`` writes format v2:
 ``cnn.params``, ``fusion.params`` and ``stats.tsv`` (text), the embedding
@@ -22,7 +26,8 @@ from . import attention, cnn, fusion, jaccard, metrics, tfidf
 from .corpus import BINARY, Dataset, LabeledPair
 from .embedding import (EmbeddingTable, load_npy_table, load_text_embeddings,
                         load_vocab, parse_int, save_npy_table, save_vocab)
-from .errors import EmptyEval, FormatError, LabelKindError, SimfuseError
+from .errors import DimensionError, EmptyEval, FormatError, SimfuseError
+from .nn import TrainConfig
 
 CALIBRATION_FACTORS = ("accuracy", "precision", "recall", "f1")
 
@@ -48,6 +53,11 @@ class ModelBundle:
     weights: fusion.FusionWeights
     fusion_params: fusion.FusionParams
     n_max: int = cnn.DEFAULT_N_MAX
+
+    def __post_init__(self):
+        if self.cnn_params.dim != self.table.dim:
+            raise DimensionError(f"CNN filters of dimension {self.cnn_params.dim} do not "
+                                 f"match the embedding table's dimension {self.table.dim}")
 
 
 def component_scores(pair: LabeledPair, stats: tfidf.CorpusStats,
@@ -113,19 +123,30 @@ def weights_from_scores(triples: list[tuple[float, float, float]],
     return fusion.calibrate_weights(*per_model)
 
 
-def calibrate(validation: Dataset, bundle: ModelBundle,
-              factor: str = "accuracy") -> fusion.FusionWeights:
-    """Fusion weights from each scorer's standalone validation metric."""
-    if len(validation) == 0:
-        raise EmptyEval("cannot calibrate on an empty dataset")
-    if validation.label_kind != BINARY:
-        raise LabelKindError("calibration requires a binary-labeled dataset")
-    triples = [
-        component_scores(pair, bundle.stats, bundle.table, bundle.cnn_params, bundle.n_max)
-        for pair in validation
-    ]
-    gold = [pair.label >= 0.5 for pair in validation]
-    return weights_from_scores(triples, gold, factor)
+def train_bundle(dataset: Dataset, table: EmbeddingTable, config: TrainConfig, *,
+                 n_max: int, fusion_mode: str, factor: str
+                 ) -> tuple[ModelBundle, list[float], list[float]]:
+    """Train every part of a bundle on the binary-labeled ``dataset``.
+
+    TF-IDF statistics and the CNN come from the pairs; each scorer's
+    standalone ``factor`` metric on the same pairs gives the softmax fusion
+    weights; in ``learned`` mode the combiner is then fit on the weighted
+    score triples.  Returns the bundle and the mean loss per epoch of the
+    CNN and of the combiner (empty in ``weighted_sum`` mode).  Deterministic
+    for a seed.
+    """
+    stats = tfidf.build_stats(dataset)
+    cnn_params, cnn_losses = cnn.cnn_train(dataset, table, config, n_max=n_max)
+    triples = [component_scores(pair, stats, table, cnn_params, n_max) for pair in dataset]
+    weights = weights_from_scores(triples, [pair.label >= 0.5 for pair in dataset], factor)
+    if fusion_mode == fusion.LEARNED:
+        fusion_params, fusion_losses = fusion.train_fusion(
+            triples, [pair.label for pair in dataset], weights, config)
+    else:
+        fusion_params, fusion_losses = fusion.FusionParams(mode=fusion_mode), []
+    bundle = ModelBundle(stats=stats, table=table, cnn_params=cnn_params, weights=weights,
+                         fusion_params=fusion_params, n_max=n_max)
+    return bundle, cnn_losses, fusion_losses
 
 
 def save_stats(stats: tfidf.CorpusStats, stream: IO[str]) -> None:
@@ -221,11 +242,15 @@ def _read_manifest(path: Path) -> tuple[int, dict[str, str]]:
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if fields[0] == "n_max" and len(fields) == 2:
+            if n_max is not None:
+                raise FormatError(f"line {lineno}: repeated n_max line")
             n_max = parse_int(fields[1], lineno, "n_max")
             if n_max < 1:
                 raise FormatError(f"line {lineno}: n_max must be >= 1")
         elif (fields[0] == "sha256" and len(fields) == 3 and fields[1] in HASHED_FILES
               and _HEX_DIGEST.fullmatch(fields[2])):
+            if fields[1] in digests:
+                raise FormatError(f"line {lineno}: repeated sha256 line for {fields[1]}")
             digests[fields[1]] = fields[2]
         else:
             raise FormatError(f"line {lineno}: expected n_max<TAB>N or "
@@ -254,7 +279,8 @@ def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
     sha256 is checked against the manifest.  A directory without
     manifest.tsv is read as v1, whose ``n_max`` is the one given here
     (DEFAULT_N_MAX when None).  A missing, malformed, non-finite or
-    inconsistent file raises FormatError naming the file.
+    inconsistent file raises FormatError naming the file; CNN parameters
+    whose dimension is not the table's name cnn.params.
     """
     directory = Path(directory)
     if not (directory / MANIFEST).exists():
@@ -262,18 +288,22 @@ def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
             raise FormatError(f"{MANIFEST}: not in {directory}, and neither is a v1 "
                               f"{V1_EMBEDDINGS}")
         fields = _read_text_files(directory, (_V1_TABLE_FILE,) + _PARAM_FILES)
-        return ModelBundle(n_max=cnn.DEFAULT_N_MAX if n_max is None else n_max, **fields)
-    with _naming(MANIFEST):
-        saved_n_max, digests = _read_manifest(directory / MANIFEST)
-        if n_max is not None and n_max != saved_n_max:
-            raise FormatError(f"bundle was trained with n_max {saved_n_max}, got {n_max}")
-    for name in HASHED_FILES:
-        with _naming(name):
-            if _sha256(directory / name) != digests[name]:
-                raise FormatError(f"sha256 does not match {MANIFEST}")
-    fields = _read_text_files(directory, _PARAM_FILES)
-    with _naming(VOCAB), open(directory / VOCAB, encoding="utf-8") as f:
-        vocab = load_vocab(f)
-    with _naming(MATRIX), open(directory / MATRIX, "rb") as f:
-        table = load_npy_table(f, vocab)
-    return ModelBundle(n_max=saved_n_max, table=table, **fields)
+        n_max = cnn.DEFAULT_N_MAX if n_max is None else n_max
+    else:
+        with _naming(MANIFEST):
+            saved_n_max, digests = _read_manifest(directory / MANIFEST)
+            if n_max is not None and n_max != saved_n_max:
+                raise FormatError(f"bundle was trained with n_max {saved_n_max}, got {n_max}")
+        for name in HASHED_FILES:
+            with _naming(name):
+                if _sha256(directory / name) != digests[name]:
+                    raise FormatError(f"sha256 does not match {MANIFEST}")
+        fields = _read_text_files(directory, _PARAM_FILES)
+        with _naming(VOCAB), open(directory / VOCAB, encoding="utf-8") as f:
+            vocab = load_vocab(f)
+        with _naming(MATRIX), open(directory / MATRIX, "rb") as f:
+            fields["table"] = load_npy_table(f, vocab)
+        n_max = saved_n_max
+    # the one check ModelBundle makes: the CNN's dimension against the table's
+    with _naming("cnn.params"):
+        return ModelBundle(n_max=n_max, **fields)

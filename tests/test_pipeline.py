@@ -1,13 +1,14 @@
+import numpy as np
 import pytest
 
-from simfuse.cnn import TrainConfig, cnn_train, init_params
+from simfuse.cnn import DEFAULT_N_MAX, TrainConfig, cnn_train, init_params
 from simfuse.corpus import BINARY, GRADED, Dataset, LabeledPair, Sentence
-from simfuse.errors import EmptyEval, LabelKindError
+from simfuse.errors import EmptyCorpus, EmptyEval, LabelKindError
 from simfuse.fusion import (DEFAULT_WEIGHTS, SIMILAR, WEIGHTED_SUM,
                             FusionParams, calibrate_weights)
-from simfuse.pipeline import (ModelBundle, calibrate, component_scores,
-                              evaluate, load_bundle, save_bundle,
-                              score_with_bundle, weights_from_scores)
+from simfuse.pipeline import (ModelBundle, component_scores, evaluate,
+                              load_bundle, save_bundle, score_with_bundle,
+                              train_bundle, weights_from_scores)
 from simfuse.tfidf import build_stats
 
 from toy import separable_toy_set
@@ -124,31 +125,39 @@ class TestCalibrate:
         assert weights.gamma == pytest.approx(expected.gamma)
 
     def test_consistent_with_component_scores(self, small_bundle):
-        dataset, bundle = small_bundle
-        weights = calibrate(dataset, bundle, factor="f1")
+        dataset, small = small_bundle
+        bundle, _, _ = _train_bundle(dataset, small.table, factor="f1")
         triples = [
             component_scores(p, bundle.stats, bundle.table, bundle.cnn_params,
                              bundle.n_max)
             for p in dataset
         ]
         expected = weights_from_scores(triples, [p.label >= 0.5 for p in dataset], "f1")
-        assert weights == expected
+        assert bundle.weights == expected
+        # the CNN is the one the fixture trained with the same config
+        assert np.array_equal(bundle.cnn_params.filters, small.cnn_params.filters)
 
     def test_rejects_unknown_factor(self, small_bundle):
         dataset, bundle = small_bundle
         with pytest.raises(ValueError):
-            calibrate(dataset, bundle, factor="vibes")
+            _train_bundle(dataset, bundle.table, factor="vibes")
 
     def test_rejects_graded(self, small_bundle):
         dataset, bundle = small_bundle
         graded = Dataset(pairs=dataset.pairs, label_kind=GRADED)
         with pytest.raises(LabelKindError):
-            calibrate(graded, bundle)
+            _train_bundle(graded, bundle.table)
 
     def test_rejects_empty(self, small_bundle):
         _, bundle = small_bundle
-        with pytest.raises(EmptyEval):
-            calibrate(Dataset(pairs=(), label_kind=BINARY), bundle)
+        with pytest.raises(EmptyCorpus):
+            _train_bundle(Dataset(pairs=(), label_kind=BINARY), bundle.table)
+
+
+def _train_bundle(dataset, table, factor="accuracy"):
+    """train_bundle with the small_bundle fixture's CNN training config."""
+    return train_bundle(dataset, table, TrainConfig(epochs=3, seed=11), n_max=DEFAULT_N_MAX,
+                        fusion_mode=WEIGHTED_SUM, factor=factor)
 
 
 class TestBundleIO:
