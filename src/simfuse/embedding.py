@@ -11,14 +11,16 @@ error reads.
 
 Out-of-vocabulary words map to deterministic pseudo-random unit vectors
 derived from a stable hash of the surface, so lookups are reproducible
-across processes and runs.
+across processes and runs.  Each table caches the read-only OOV vectors it
+has drawn, up to ``OOV_CACHE_ROWS`` of them, and empties the cache when it
+is full; the cache goes with its table.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, BinaryIO, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,6 +33,10 @@ from .errors import FormatError
 # peak memory.
 BLOCK_ROWS = 256
 
+# OOV vectors a table caches before it empties its cache: about 3 MiB at
+# dim 100.
+OOV_CACHE_ROWS = 4096
+
 # The one dtype of an npy matrix of rows: little-endian float64.
 ROW_DTYPE = np.dtype("<f8")
 
@@ -39,6 +45,9 @@ ROW_DTYPE = np.dtype("<f8")
 class EmbeddingTable:
     dim: int
     vectors: Mapping[str, np.ndarray]
+    # surface -> read-only OOV vector, filled by lookup()
+    _oov_cache: dict[str, np.ndarray] = field(default_factory=dict, init=False,
+                                              compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -255,11 +264,23 @@ def _oov_vector(surface: str, dim: int) -> np.ndarray:
 
 
 def lookup(table: EmbeddingTable, surface: str) -> np.ndarray:
-    """Stored vector, or a deterministic unit-norm OOV vector."""
+    """Stored vector, or a deterministic unit-norm OOV vector.
+
+    An OOV vector is drawn once per table and surface and then returned from
+    the table's cache, read-only; a cache that holds OOV_CACHE_ROWS vectors
+    is emptied before the next one is added.
+    """
     vec = table.vectors.get(surface)
     if vec is not None:
         return vec
-    return _oov_vector(surface, table.dim)
+    cache = table._oov_cache
+    vec = cache.get(surface)
+    if vec is None:
+        if len(cache) >= OOV_CACHE_ROWS:
+            cache.clear()
+        vec = cache[surface] = _oov_vector(surface, table.dim)
+        vec.flags.writeable = False
+    return vec
 
 
 def embed_sentence(table: EmbeddingTable, s: Sentence, n_max: int) -> np.ndarray:

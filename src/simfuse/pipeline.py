@@ -106,6 +106,11 @@ def evaluate(dataset: Dataset, bundle: ModelBundle) -> metrics.MetricReport:
     return metrics.MetricReport(pearson=pearson, spearman=spearman)
 
 
+def _check_factor(factor: str) -> None:
+    if factor not in CALIBRATION_FACTORS:
+        raise ValueError(f"unknown weighting factor {factor!r}")
+
+
 def weights_from_scores(triples: list[tuple[float, float, float]],
                         gold: list[bool], factor: str) -> fusion.FusionWeights:
     """Softmax weights from standalone per-model metrics over score triples.
@@ -113,8 +118,7 @@ def weights_from_scores(triples: list[tuple[float, float, float]],
     Each model classifies on its own score with the 0.5 rule; the chosen
     metric per model feeds the softmax in (jaccard, cnn, tfidf) order.
     """
-    if factor not in CALIBRATION_FACTORS:
-        raise ValueError(f"unknown weighting factor {factor!r}")
+    _check_factor(factor)
     per_model = []
     for model_idx in range(3):
         preds = [triple[model_idx] >= 0.5 for triple in triples]
@@ -133,8 +137,12 @@ def train_bundle(dataset: Dataset, table: EmbeddingTable, config: TrainConfig, *
     weights; in ``learned`` mode the combiner is then fit on the weighted
     score triples.  Returns the bundle and the mean loss per epoch of the
     CNN and of the combiner (empty in ``weighted_sum`` mode).  Deterministic
-    for a seed.
+    for a seed.  An unknown ``factor`` (ValueError) or ``fusion_mode``
+    (ConfigError) fails before any training.
     """
+    _check_factor(factor)
+    if fusion_mode != fusion.LEARNED:
+        fusion_params, fusion_losses = fusion.FusionParams(mode=fusion_mode), []
     stats = tfidf.build_stats(dataset)
     cnn_params, cnn_losses = cnn.cnn_train(dataset, table, config, n_max=n_max)
     triples = [component_scores(pair, stats, table, cnn_params, n_max) for pair in dataset]
@@ -142,8 +150,6 @@ def train_bundle(dataset: Dataset, table: EmbeddingTable, config: TrainConfig, *
     if fusion_mode == fusion.LEARNED:
         fusion_params, fusion_losses = fusion.train_fusion(
             triples, [pair.label for pair in dataset], weights, config)
-    else:
-        fusion_params, fusion_losses = fusion.FusionParams(mode=fusion_mode), []
     bundle = ModelBundle(stats=stats, table=table, cnn_params=cnn_params, weights=weights,
                          fusion_params=fusion_params, n_max=n_max)
     return bundle, cnn_losses, fusion_losses

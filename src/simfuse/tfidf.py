@@ -4,11 +4,16 @@ The "document" unit is a sentence pair: term frequency is counted over
 both sentences of the pair and normalized by the size of their combined
 vocabulary, inverse document frequency over the number of pairs in the
 corpus that contain the term.
+
+``tfidf_vector`` counts the pair's terms once, with one ``Counter``, rather
+than calling the per-term ``term_frequency`` (kept as the reference it must
+equal bitwise), and ``idf`` remembers each value per ``CorpusStats``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -22,6 +27,11 @@ class CorpusStats:
 
     total_pairs: int
     pair_doc_freq: Mapping[str, int]
+    # idf per term of pair_doc_freq, filled by idf(); and the idf of a term
+    # the stats have never seen
+    _idf_memo: dict[str, float] = field(default_factory=dict, init=False, compare=False,
+                                        repr=False)
+    _unseen_idf: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.total_pairs < 1:
@@ -29,6 +39,7 @@ class CorpusStats:
         bad = [t for t, df in self.pair_doc_freq.items() if df > self.total_pairs or df < 0]
         if bad:
             raise ValueError(f"document frequency out of range for {bad[:3]}")
+        object.__setattr__(self, "_unseen_idf", _idf_value(self.total_pairs, 0))
 
     def doc_freq(self, term: str) -> int:
         return self.pair_doc_freq.get(term, 0)
@@ -72,25 +83,44 @@ def term_frequency(term: str, pair: LabeledPair) -> float:
     return occurrences / len(union)
 
 
+def _idf_value(total_pairs: int, doc_freq: int) -> float:
+    return max(0.0, math.log(total_pairs / (1 + doc_freq)))
+
+
 def idf(term: str, stats: CorpusStats) -> float:
     """Natural-log inverse pair frequency, floored at zero.
 
     The floor keeps downstream cosine similarities in [0, 1]: a term
-    present in every pair would otherwise get a negative weight.
+    present in every pair would otherwise get a negative weight.  Each
+    value is computed once per ``stats``: a term of ``pair_doc_freq`` is
+    remembered on first use, so the memo never outgrows the stats'
+    vocabulary, and every unseen term shares one value.
     """
-    value = math.log(stats.total_pairs / (1 + stats.doc_freq(term)))
-    return max(0.0, value)
+    value = stats._idf_memo.get(term)
+    if value is None:
+        doc_freq = stats.pair_doc_freq.get(term)
+        if doc_freq is None:
+            return stats._unseen_idf
+        value = stats._idf_memo[term] = _idf_value(stats.total_pairs, doc_freq)
+    return value
 
 
 def tfidf_vector(s: Sentence, pair: LabeledPair, stats: CorpusStats) -> TfIdfVector:
     """TF-IDF weights for the distinct surfaces of ``s`` within ``pair``.
 
-    Terms are stored in sorted order so later float summations are
-    independent of the process's string-hash seed.
+    One ``Counter`` over both sentences gives every term's occurrences and,
+    as its length, the size of the union, so each weight is bitwise
+    ``term_frequency(term, pair) * idf(term, stats)``: the same integer over
+    the same divisor, times the same idf.  Terms are stored in sorted order
+    so later float summations are independent of the process's string-hash
+    seed.
     """
+    counts = Counter(pair.a.surfaces())
+    counts.update(pair.b.surfaces())
+    n_union = len(counts)
     weights = {}
     for term in sorted(set(s.surfaces())):
-        w = term_frequency(term, pair) * idf(term, stats)
+        w = counts[term] / n_union * idf(term, stats)
         if w > 0.0:
             weights[term] = w
     return TfIdfVector(weights=weights)

@@ -513,3 +513,39 @@ def test_non_utf8_pair_file_exits_1_naming_the_file(scoring_inputs, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: {pairs}: not UTF-8 text (invalid start byte)"]
+
+
+# Pairs scored with the golden bundle, and the frozen ``simfuse score``
+# output per fusion mode.  The stats hold x (df 1) and y (df 3 of 3 pairs,
+# so idf 0); the table holds a and b.  g1 repeats "a", has "b" and "y" on
+# one side only and "a", which the stats have never seen; "x" is out of the
+# table's vocabulary and occurs on both sides.  g2's one shared term is y,
+# so its TF-IDF score is 0.  g3 repeats the unseen, out-of-vocabulary "z".
+GOLDEN_PAIRS = ("g1\ta a b x\ta x y\t1\n"
+                "g2\tx y z z\tb y q\t0\n"
+                "g3\tz q z\tz y\t1\n")
+GOLDEN_SCORES = {
+    LEARNED: (
+        "g1\t0.5\t0.98005184034234238\t0.951402643322101\t0.051261806303014863\tdifferent\n"
+        "g2\t0.20000000000000001\t0.98099849601586586\t0\t0.026738478018656215\tdifferent\n"
+        "g3\t0.33333333333333331\t0.19210785906385169\t0.94868329805051377"
+        "\t0.072777772613615205\tdifferent\n"
+    ),
+    WEIGHTED_SUM: (
+        "g1\t0.5\t0.98005184034234238\t0.951402643322101\t0.8528765810016965\tsimilar\n"
+        "g2\t0.20000000000000001\t0.98099849601586586\t0\t0.54049924800793292\tsimilar\n"
+        "g3\t0.33333333333333331\t0.19210785906385169\t0.94868329805051377"
+        "\t0.41655808737788763\tdifferent\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_SCORES))
+def test_golden_bundle_scores_have_the_frozen_text(tmp_path, capsys, mode):
+    save_bundle(tiny_bundle(mode), tmp_path / "model")
+    pairs = tmp_path / "pairs.tsv"
+    pairs.write_text(GOLDEN_PAIRS, encoding="utf-8")
+    assert _score(tmp_path / "model", pairs) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == GOLDEN_SCORES[mode]

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from simfuse.corpus import Sentence
-from simfuse.embedding import (BLOCK_ROWS, EmbeddingTable, embed_sentence,
-                               format_row, load_text_embeddings, lookup,
+from simfuse.embedding import (BLOCK_ROWS, OOV_CACHE_ROWS, EmbeddingTable, _oov_vector,
+                               embed_sentence, format_row, load_text_embeddings, lookup,
                                parse_row, parse_rows, save_text_embeddings)
 from simfuse.errors import FormatError
 
@@ -281,6 +281,57 @@ class TestLookup:
     def test_oov_differs_across_surfaces(self):
         table = EmbeddingTable(dim=8, vectors={})
         assert not np.allclose(lookup(table, "one"), lookup(table, "two"))
+
+
+class TestOovCache:
+    def test_cached_vector_is_bitwise_the_drawn_one(self):
+        table = EmbeddingTable(dim=8, vectors={})
+        for word in ["x", "yy", "Ω"]:
+            first, again = lookup(table, word), lookup(table, word)
+            want = _oov_vector(word, 8)
+            assert first.tobytes() == again.tobytes() == want.tobytes()
+
+    def test_second_lookup_returns_the_same_read_only_array(self):
+        table = EmbeddingTable(dim=8, vectors={})
+        vec = lookup(table, "mystery")
+        assert lookup(table, "mystery") is vec
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 1.0
+
+    def test_known_surfaces_are_not_cached(self):
+        table = EmbeddingTable(dim=2, vectors={"a": np.array([3.0, 4.0])})
+        lookup(table, "a")
+        assert table._oov_cache == {}
+
+    def test_tables_of_different_dim_share_no_vectors(self):
+        small, large = EmbeddingTable(dim=4, vectors={}), EmbeddingTable(dim=8, vectors={})
+        u, v = lookup(small, "word"), lookup(large, "word")
+        assert u.shape == (4,) and v.shape == (8,)
+        assert u.tobytes() == _oov_vector("word", 4).tobytes()
+        assert v.tobytes() == _oov_vector("word", 8).tobytes()
+
+    def test_equal_tables_keep_their_own_cache(self):
+        vectors = {"a": np.array([1.0, 0.0])}
+        first, second = EmbeddingTable(2, vectors), EmbeddingTable(2, vectors)
+        vec = lookup(first, "oov")
+        assert lookup(second, "oov") is not vec
+        assert first == second  # the cache is not compared
+
+    def test_overfilled_cache_stays_bounded_and_correct(self):
+        table = EmbeddingTable(dim=3, vectors={})
+        words = [f"w{i}" for i in range(OOV_CACHE_ROWS + 10)]
+        for word in words:
+            lookup(table, word)
+            assert len(table._oov_cache) <= OOV_CACHE_ROWS
+        assert len(table._oov_cache) == 10  # emptied once, when full
+        for word in (words[0], words[OOV_CACHE_ROWS - 1], words[-1]):
+            assert lookup(table, word).tobytes() == _oov_vector(word, 3).tobytes()
+
+    def test_cache_is_no_constructor_argument(self):
+        with pytest.raises(TypeError):
+            EmbeddingTable(dim=2, vectors={}, _oov_cache={})
+        assert "_oov_cache" not in repr(EmbeddingTable(dim=2, vectors={}))
 
 
 class TestEmbedSentence:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from simfuse import cnn, tfidf
 from simfuse.cnn import DEFAULT_N_MAX, TrainConfig, cnn_train, init_params
 from simfuse.corpus import BINARY, GRADED, Dataset, LabeledPair, Sentence
-from simfuse.errors import EmptyCorpus, EmptyEval, LabelKindError
+from simfuse.errors import ConfigError, EmptyCorpus, EmptyEval, LabelKindError
 from simfuse.fusion import (DEFAULT_WEIGHTS, SIMILAR, WEIGHTED_SUM,
                             FusionParams, calibrate_weights)
 from simfuse.pipeline import (ModelBundle, component_scores, evaluate,
@@ -137,10 +138,17 @@ class TestCalibrate:
         # the CNN is the one the fixture trained with the same config
         assert np.array_equal(bundle.cnn_params.filters, small.cnn_params.filters)
 
-    def test_rejects_unknown_factor(self, small_bundle):
+    def test_rejects_unknown_factor(self, small_bundle, monkeypatch):
         dataset, bundle = small_bundle
-        with pytest.raises(ValueError):
+        _forbid_training(monkeypatch)
+        with pytest.raises(ValueError, match="^unknown weighting factor 'vibes'$"):
             _train_bundle(dataset, bundle.table, factor="vibes")
+
+    def test_rejects_unknown_fusion_mode(self, small_bundle, monkeypatch):
+        dataset, bundle = small_bundle
+        _forbid_training(monkeypatch)
+        with pytest.raises(ConfigError, match="^unknown fusion mode 'vibes'$"):
+            _train_bundle(dataset, bundle.table, fusion_mode="vibes")
 
     def test_rejects_graded(self, small_bundle):
         dataset, bundle = small_bundle
@@ -154,10 +162,18 @@ class TestCalibrate:
             _train_bundle(Dataset(pairs=(), label_kind=BINARY), bundle.table)
 
 
-def _train_bundle(dataset, table, factor="accuracy"):
+def _train_bundle(dataset, table, factor="accuracy", fusion_mode=WEIGHTED_SUM):
     """train_bundle with the small_bundle fixture's CNN training config."""
     return train_bundle(dataset, table, TrainConfig(epochs=3, seed=11), n_max=DEFAULT_N_MAX,
-                        fusion_mode=WEIGHTED_SUM, factor=factor)
+                        fusion_mode=fusion_mode, factor=factor)
+
+
+def _forbid_training(monkeypatch):
+    """Make building the TF-IDF statistics or any CNN epoch fail the test."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("training ran before the settings were checked")
+    monkeypatch.setattr(tfidf, "build_stats", forbidden)
+    monkeypatch.setattr(cnn, "cnn_train", forbidden)
 
 
 class TestBundleIO:

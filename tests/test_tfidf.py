@@ -153,3 +153,78 @@ class TestCosineSim:
         weights = {f"t{i}": 0.1 + 0.07 * i for i in range(9)}
         v = TfIdfVector(weights=weights)
         assert cosine_sim(v, v) <= 1.0
+
+
+def _reference_idf(term, stats):
+    """idf as one expression, with no memo."""
+    return max(0.0, math.log(stats.total_pairs / (1 + stats.doc_freq(term))))
+
+
+def _reference_vector(s, pair, stats):
+    """tfidf_vector as per-term term_frequency * idf."""
+    weights = {}
+    for term in sorted(set(s.surfaces())):
+        w = term_frequency(term, pair) * _reference_idf(term, stats)
+        if w > 0.0:
+            weights[term] = w
+    return TfIdfVector(weights=weights)
+
+
+class TestPairCountingOracle:
+    """tfidf_vector counts a pair's terms once and memoizes idf; its weights
+    and cosines must equal the per-term formula bitwise."""
+
+    @pytest.fixture(scope="class")
+    def random_pairs(self):
+        # a small vocabulary makes repeats, one-sided and shared terms common
+        rng = np.random.default_rng(5)
+        vocab = [f"w{i}" for i in range(12)]
+
+        def sentence():
+            return [str(t) for t in rng.choice(vocab, size=int(rng.integers(1, 9)))]
+
+        return [_pair(str(i), sentence(), sentence()) for i in range(300)]
+
+    @pytest.fixture(scope="class")
+    def stats(self, random_pairs):
+        # statistics of the first pairs, without "w11" (so other pairs hold
+        # a term the stats have never seen) and with "w0" in every pair (so
+        # its idf is floored at 0)
+        seen = [_pair(p.id, [t for t in p.a.surfaces() if t != "w11"] + ["w0"],
+                      [t for t in p.b.surfaces() if t != "w11"])
+                for p in random_pairs[:40]]
+        return build_stats(Dataset(pairs=tuple(seen), label_kind=BINARY))
+
+    def test_inputs_cover_the_cases(self, random_pairs, stats):
+        assert stats.doc_freq("w11") == 0
+        assert any(p.a.surfaces().count(t) > 1 for p in random_pairs for t in p.a.surfaces())
+        assert any(set(p.a.surfaces()) - set(p.b.surfaces()) for p in random_pairs)
+        assert _reference_idf("w0", stats) == 0.0
+
+    def test_weights_and_cosines_equal_the_per_term_formula(self, random_pairs, stats):
+        for pair in random_pairs:
+            u, v = tfidf_vector(pair.a, pair, stats), tfidf_vector(pair.b, pair, stats)
+            want_u = _reference_vector(pair.a, pair, stats)
+            want_v = _reference_vector(pair.b, pair, stats)
+            assert list(u.weights.items()) == list(want_u.weights.items())
+            assert list(v.weights.items()) == list(want_v.weights.items())
+            assert cosine_sim(u, v) == cosine_sim(want_u, want_v)
+
+    def test_idf_memo_holds_only_the_stats_vocabulary(self, random_pairs, stats):
+        for pair in random_pairs:
+            tfidf_vector(pair.a, pair, stats)
+            tfidf_vector(pair.b, pair, stats)
+        memo = stats._idf_memo
+        assert 0 < len(memo) <= len(stats.pair_doc_freq)
+        assert set(memo) <= set(stats.pair_doc_freq)
+        assert all(value == _reference_idf(term, stats) for term, value in memo.items())
+
+    def test_unseen_term_gets_log_total_pairs(self, stats):
+        assert idf("never-seen", stats) == math.log(stats.total_pairs)
+        assert "never-seen" not in stats._idf_memo
+
+    def test_memo_is_not_part_of_equality(self):
+        stats = CorpusStats(total_pairs=4, pair_doc_freq={"w": 1})
+        idf("w", stats)
+        assert stats == CorpusStats(total_pairs=4, pair_doc_freq={"w": 1})
+        assert "_idf_memo" not in repr(stats)
