@@ -26,11 +26,12 @@ print(f"  doc_freq('quota') = {stats.doc_freq('quota')} (appears in 1 pair)")
 
 # TF-IDF vectors live inside a pair: term frequency is normalized by the
 # size of the pair's combined vocabulary, IDF by pair document frequency.
+# A vector is a plain dict of term -> positive weight, in sorted term order.
 pair = dataset.pairs[0]
 vec_a = tfidf_vector(pair.a, pair, stats)
 vec_b = tfidf_vector(pair.b, pair, stats)
 print("\npair 1 TF-IDF weights (sentence A):")
-for term, weight in sorted(vec_a.weights.items()):
+for term, weight in vec_a.items():
     print(f"  {term:>6} {weight:.4f}")
 print(f"TF-IDF cosine similarity: {cosine_sim(vec_a, vec_b):.4f}")
 

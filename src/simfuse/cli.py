@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Callable, TypeVar
 
 from . import pipeline
@@ -61,17 +61,9 @@ class CliConfig:
             raise ConfigError(f"unknown weighting_factor {self.weighting_factor!r}")
 
 
-_CONFIG_PARSERS = {
-    "embedding_path": str,
-    "n_max": int,
-    "seed": int,
-    "learning_rate": float,
-    "epochs": int,
-    "batch_size": int,
-    "label_convention": str,
-    "fusion_mode": str,
-    "weighting_factor": str,
-}
+# key -> parser of its value: the type of each CliConfig default
+_CONFIG_PARSERS = {f.name: str if f.default is None else type(f.default)
+                   for f in fields(CliConfig) if f.init}
 
 
 def parse_config_file(path: str) -> CliConfig:
@@ -116,13 +108,8 @@ def _resolve_embeddings(args: argparse.Namespace, config: CliConfig) -> str:
 def _read(path: str, parse: Callable[[IO[str]], T]) -> T:
     """``parse`` of the UTF-8 text file at ``path``; a decode error or a
     FormatError ends in a FormatError that names the file."""
-    try:
-        with open(path, encoding="utf-8") as stream:
-            return parse(stream)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    with pipeline._naming(path, (FormatError,)), open(path, encoding="utf-8") as stream:
+        return parse(stream)
 
 
 def _load_bundle(args: argparse.Namespace, config: CliConfig) -> pipeline.ModelBundle:
@@ -161,15 +148,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     for pair in dataset:
         scores = pipeline.score_with_bundle(bundle, pair)
         if args.format == "json":
-            record = {
-                "id": pair.id,
-                "jaccard": scores.jaccard,
-                "w2vcnn": scores.w2vcnn,
-                "tfidf": scores.tfidf,
-                "fused": scores.fused,
-                "predicted": scores.predicted,
-            }
-            print(json.dumps(record))
+            print(json.dumps({"id": pair.id, **asdict(scores)}))
         else:
             print("\t".join([
                 pair.id, _fmt(scores.jaccard), _fmt(scores.w2vcnn),

@@ -285,8 +285,12 @@ def load_cnn_params(stream: IO[str]) -> CnnParams:
     }
     seed = 0
     tensors: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
     for lineno, line in lines[1:]:
         name, _, rest = line.partition(" ")
+        if name in seen:
+            raise FormatError(f"line {lineno}: repeated CNN parameter section {name!r}")
+        seen.add(name)
         if name == "rng_seed":
             seed = parse_int(rest, lineno, "rng_seed")
             continue

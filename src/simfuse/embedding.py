@@ -125,16 +125,18 @@ def load_text_embeddings(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
     ``surface v1 ... vd`` lines.
 
     The header count is not enforced; duplicate surfaces keep the last
-    vector.  The first vector line is parsed on its own and sets ``dim``
-    when there is no header; the rest are parsed in blocks of BLOCK_ROWS
-    lines by ``parse_rows``, and each stored vector is a row of its block.
-    Raises FormatError on inconsistent dimensions, non-numeric or
-    non-finite components, naming the line, and on a file with no vectors.
+    vector.  ``dim`` comes from the header, else from the number of values
+    on the first vector line.  Every vector line, the first included, is
+    parsed in blocks of BLOCK_ROWS lines by ``parse_rows``, and each stored
+    vector is a row of its block.  Raises FormatError on inconsistent
+    dimensions, non-numeric or non-finite components, naming the line, and
+    on a file with no vectors.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    lines = enumerate(stream, start=1)
-    for lineno, line in lines:
+    names: list[str] = []
+    rows: list[tuple[int, str]] = []
+    for lineno, line in enumerate(stream, start=1):
         parts = line.split(maxsplit=1)
         if not parts:
             continue
@@ -146,21 +148,13 @@ def load_text_embeddings(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
                 continue
             except ValueError:
                 pass  # not a header; fall through as a d=1 vector line
-        vec = parse_row(parts[1] if len(parts) == 2 else "", lineno, dim)
+        rest = parts[1] if len(parts) == 2 else ""
         if dim is None:
-            dim = vec.size
+            dim = len(rest.split())
             if dim == 0:
                 raise FormatError(f"line {lineno}: no vector components")
-        vectors[parts[0]] = vec
-        break
-    names: list[str] = []
-    rows: list[tuple[int, str]] = []
-    for lineno, line in lines:
-        parts = line.split(maxsplit=1)
-        if not parts:
-            continue
         names.append(parts[0])
-        rows.append((lineno, parts[1] if len(parts) == 2 else ""))
+        rows.append((lineno, rest))
         if len(rows) == BLOCK_ROWS:
             vectors.update(zip(names, parse_rows(rows, dim)))
             names, rows = [], []

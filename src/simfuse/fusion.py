@@ -197,6 +197,8 @@ def load_fusion_params(stream: IO[str]) -> tuple[FusionWeights, FusionParams]:
         name, _, rest = line.partition(" ")
         if name not in _NET_SECTIONS:
             raise FormatError(f"line {lineno}: unknown fusion net section {name!r}")
+        if name in sections:
+            raise FormatError(f"line {lineno}: repeated fusion net section {name!r}")
         sections[name] = (lineno, rest)
     missing = set(_NET_SECTIONS) - set(sections)
     if missing:

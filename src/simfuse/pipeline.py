@@ -172,6 +172,8 @@ def load_stats(stream: IO[str]) -> tfidf.CorpusStats:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected term<TAB>doc_freq")
+        if parts[0] in freq:
+            raise FormatError(f"line {lineno}: repeated term {parts[0]!r}")
         freq[parts[0]] = parse_int(parts[1], lineno, "doc_freq")
     return tfidf.CorpusStats(total_pairs=total, pair_doc_freq=freq)
 
@@ -199,12 +201,15 @@ HASHED_FILES = tuple(name for name, _, _ in _PARAM_FILES) + (VOCAB, MATRIX)
 
 
 @contextmanager
-def _naming(name: str) -> Iterator[None]:
-    """Turns an error met while handling bundle file ``name`` into a
-    FormatError that names it."""
+def _naming(name: str, errors: tuple[type[Exception], ...] = (SimfuseError, ValueError, OSError)
+            ) -> Iterator[None]:
+    """Turns a UTF-8 decode error, or one of ``errors``, met while handling
+    the file ``name`` into a FormatError that names it."""
     try:
         yield
-    except (SimfuseError, ValueError, OSError) as exc:
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{name}: not UTF-8 text ({exc.reason})") from exc
+    except errors as exc:
         raise FormatError(f"{name}: {exc}") from exc
 
 

@@ -5,9 +5,11 @@ both sentences of the pair and normalized by the size of their combined
 vocabulary, inverse document frequency over the number of pairs in the
 corpus that contain the term.
 
-``tfidf_vector`` counts the pair's terms once, with one ``Counter``, rather
-than calling the per-term ``term_frequency`` (kept as the reference it must
-equal bitwise), and ``idf`` remembers each value per ``CorpusStats``.
+A TF-IDF vector is a plain ``dict`` of term -> positive weight, in sorted
+term order.  ``tfidf_vector`` counts the pair's terms once, with one
+``Counter``, rather than calling the per-term ``term_frequency`` (kept as
+the reference it must equal bitwise), and ``idf`` reads a table that
+``CorpusStats`` builds with the statistics.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ class CorpusStats:
 
     total_pairs: int
     pair_doc_freq: Mapping[str, int]
-    # idf per term of pair_doc_freq, filled by idf(); and the idf of a term
-    # the stats have never seen
-    _idf_memo: dict[str, float] = field(default_factory=dict, init=False, compare=False,
-                                        repr=False)
+    # idf per term of pair_doc_freq, and the idf of a term the stats have
+    # never seen
+    _idf_table: dict[str, float] = field(init=False, compare=False, repr=False)
     _unseen_idf: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -39,24 +40,14 @@ class CorpusStats:
         bad = [t for t, df in self.pair_doc_freq.items() if df > self.total_pairs or df < 0]
         if bad:
             raise ValueError(f"document frequency out of range for {bad[:3]}")
+        # idf depends on the document frequency alone: one log per distinct value
+        by_df = {df: _idf_value(self.total_pairs, df) for df in set(self.pair_doc_freq.values())}
+        object.__setattr__(self, "_idf_table", {
+            term: by_df[df] for term, df in self.pair_doc_freq.items()})
         object.__setattr__(self, "_unseen_idf", _idf_value(self.total_pairs, 0))
 
     def doc_freq(self, term: str) -> int:
         return self.pair_doc_freq.get(term, 0)
-
-
-@dataclass(frozen=True)
-class TfIdfVector:
-    """Sparse term -> weight mapping; zero weights are never stored."""
-
-    weights: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if any(w <= 0.0 for w in self.weights.values()):
-            raise ValueError("TF-IDF weights must be positive (zeros omitted)")
-
-    def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights.values()))
 
 
 def build_stats(dataset: Dataset) -> CorpusStats:
@@ -91,29 +82,22 @@ def idf(term: str, stats: CorpusStats) -> float:
     """Natural-log inverse pair frequency, floored at zero.
 
     The floor keeps downstream cosine similarities in [0, 1]: a term
-    present in every pair would otherwise get a negative weight.  Each
-    value is computed once per ``stats``: a term of ``pair_doc_freq`` is
-    remembered on first use, so the memo never outgrows the stats'
-    vocabulary, and every unseen term shares one value.
+    present in every pair would otherwise get a negative weight.  A term of
+    ``pair_doc_freq`` reads its value from the table ``stats`` built with
+    itself; every unseen term shares one value.
     """
-    value = stats._idf_memo.get(term)
-    if value is None:
-        doc_freq = stats.pair_doc_freq.get(term)
-        if doc_freq is None:
-            return stats._unseen_idf
-        value = stats._idf_memo[term] = _idf_value(stats.total_pairs, doc_freq)
-    return value
+    return stats._idf_table.get(term, stats._unseen_idf)
 
 
-def tfidf_vector(s: Sentence, pair: LabeledPair, stats: CorpusStats) -> TfIdfVector:
+def tfidf_vector(s: Sentence, pair: LabeledPair, stats: CorpusStats) -> dict[str, float]:
     """TF-IDF weights for the distinct surfaces of ``s`` within ``pair``.
 
     One ``Counter`` over both sentences gives every term's occurrences and,
     as its length, the size of the union, so each weight is bitwise
     ``term_frequency(term, pair) * idf(term, stats)``: the same integer over
-    the same divisor, times the same idf.  Terms are stored in sorted order
-    so later float summations are independent of the process's string-hash
-    seed.
+    the same divisor, times the same idf.  Zero weights are left out, and
+    terms are stored in sorted order so later float summations are
+    independent of the process's string-hash seed.
     """
     counts = Counter(pair.a.surfaces())
     counts.update(pair.b.surfaces())
@@ -123,21 +107,23 @@ def tfidf_vector(s: Sentence, pair: LabeledPair, stats: CorpusStats) -> TfIdfVec
         w = counts[term] / n_union * idf(term, stats)
         if w > 0.0:
             weights[term] = w
-    return TfIdfVector(weights=weights)
+    return weights
 
 
-def cosine_sim(u: TfIdfVector, v: TfIdfVector) -> float:
-    """Cosine similarity of two sparse vectors; 0.0 if either has norm 0.
+def cosine_sim(u: Mapping[str, float], v: Mapping[str, float]) -> float:
+    """Cosine similarity of two sparse term -> weight maps; 0.0 if either
+    has norm 0.
 
     Weights are non-negative, so the true value lies in [0, 1]; the result
     is capped at 1.0 against float rounding (identical vectors can land a
     hair above it).
     """
-    nu, nv = u.norm(), v.norm()
+    nu = math.sqrt(sum(w * w for w in u.values()))
+    nv = math.sqrt(sum(w * w for w in v.values()))
     if nu == 0.0 or nv == 0.0:
         return 0.0
     # canonical summation order: exact symmetry in (u, v) and identical
     # results regardless of the process's string-hash seed
-    shared = sorted(u.weights.keys() & v.weights.keys())
-    dot = sum(u.weights[t] * v.weights[t] for t in shared)
+    shared = sorted(u.keys() & v.keys())
+    dot = sum(u[t] * v[t] for t in shared)
     return min(1.0, dot / (nu * nv))

@@ -347,6 +347,12 @@ def _huge_shape_npy(path):
         f.write(struct.pack("<4d", 1e-300, 3.0, 0.1, -2.0))
 
 
+def _non_utf8(path):
+    """A corruption that puts a 0xff byte, never valid UTF-8, at offset 5."""
+    data = path.read_bytes()
+    path.write_bytes(data[:5] + b"\xff" + data[6:])
+
+
 def _dim_4_cnn_params(path):
     """CNN parameters of dimension 4, for the dimension-2 table of tiny_bundle."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -452,6 +458,29 @@ CORRUPTIONS = [
      "embeddings.npy: the magic string is not correct"),
     ("v2_vocab_repeated_surface", "v2", "vocab.txt", _rehashed(lambda p: p.write_text("a\na\n")),
      "vocab.txt: line 2: repeated surface 'a'"),
+    # a repeated record is an error, not overwritten by the last one; v2
+    # with a matching sha256
+    *[(f"{version}_{case}", version, name, _rehashed(corrupt) if version == "v2" else corrupt,
+       message)
+      for case, name, corrupt, message in (
+          ("cnn_repeated_section", "cnn.params",
+           _replace("filter_bias", "filters 0.5 -1.25 0.1 3\nfilter_bias"),
+           "cnn.params: line 4: repeated CNN parameter section 'filters'"),
+          ("cnn_repeated_rng_seed", "cnn.params", _replace("rng_seed 7\n", "rng_seed 7\n" * 2),
+           "cnn.params: line 3: repeated CNN parameter section 'rng_seed'"),
+          ("fusion_repeated_section", "fusion.params",
+           _replace("out_b -0.125\n", "out_b -0.125\nout_b 5\n"),
+           "fusion.params: line 7: repeated fusion net section 'out_b'"),
+          ("stats_repeated_term", "stats.tsv", _replace("x\t1\n", "x\t1\nx\t3\n"),
+           "stats.tsv: line 3: repeated term 'x'"))
+      for version in ("v1", "v2")],
+    # a byte that is not UTF-8 in each text file; v2 with a matching sha256
+    *[(f"v1_{name}_not_utf8", "v1", name, _non_utf8,
+       f"error: {name}: not UTF-8 text (invalid start byte)") for name in V1_GOLDEN],
+    *[(f"v2_{name}_not_utf8", "v2", name,
+       _non_utf8 if name == "manifest.tsv" else _rehashed(_non_utf8),
+       f"error: {name}: not UTF-8 text (invalid start byte)")
+      for name in ("cnn.params", "fusion.params", "stats.tsv", "vocab.txt", "manifest.tsv")],
 ]
 
 

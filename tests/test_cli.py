@@ -1,10 +1,11 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simfuse.cli import main, parse_config_file
+from simfuse.cli import _CONFIG_PARSERS, CliConfig, main, parse_config_file
 from simfuse.corpus import BINARY, parse_pair_file
 from simfuse.embedding import load_text_embeddings
 from simfuse.errors import ConfigError
@@ -376,6 +377,35 @@ class TestConfigFile:
         path = tmp_path / "c.cfg"
         path.write_text("epochs = zero\n", encoding="utf-8")
         with pytest.raises(ConfigError):
+            parse_config_file(str(path))
+
+    def test_readme_block_lists_each_key_with_its_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config file", 1)[1].split("```\n")[1]
+        entries = [line.split("#", 1)[0].split("=") for line in block.splitlines()]
+        keys = [key.strip() for key, _ in entries]
+        assert keys == list(_CONFIG_PARSERS)
+        default = CliConfig()
+        path = tmp_path / "c.cfg"
+        for key, value in entries:
+            key, value = key.strip(), value.strip()
+            if not value:  # no default
+                assert getattr(default, key) is None, key
+                continue
+            path.write_text(f"{key} = {value}\n", encoding="utf-8")
+            got = getattr(parse_config_file(str(path)), key)
+            assert (got, type(got)) == (getattr(default, key), type(getattr(default, key))), key
+
+    def test_integral_float_parses_as_float(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("learning_rate = 1\n", encoding="utf-8")
+        got = parse_config_file(str(path)).learning_rate
+        assert (got, type(got)) == (1.0, float)
+
+    def test_fractional_epochs_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("epochs = 2.5\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="^config line 1: bad value for 'epochs'$"):
             parse_config_file(str(path))
 
     def test_invariant_violations_rejected(self, tmp_path):

@@ -109,6 +109,25 @@ class TestLoadTextEmbeddings:
         with pytest.raises(FormatError, match=r"^embedding file contains no vectors$"):
             load_text_embeddings(io.StringIO(content))
 
+    # the first line: a header that int() accepts, or a vector line that sets
+    # dim; (text, dim or the error message)
+    @pytest.mark.parametrize("text, want", [
+        ("1_000 2\na 1 2\nb 3 4\n", 2),
+        (" 3 2\na 1 2\n", 2),
+        ("2 0\na 1\n", "line 1: header dimension must be >= 1"),
+        ("a\nb 1 2\n", "line 1: no vector components"),
+        ("a 1 x 3\nb 1 2 3\n", "line 1: non-numeric value"),
+        ("a 1 nan\nb 1 2\n", "line 1: non-finite value"),
+        ("3 2\na 1 2 3\n", "line 2: expected 2 values, got 3"),
+        ("1.5 2\nb 3\n", 1),
+    ], ids=["underscore_header", "indented_header", "zero_dim_header", "bare_surface",
+            "non_numeric_first_row", "nan_first_row", "first_row_not_header_dim",
+            "float_count_is_a_vector"])
+    def test_first_line_matches_the_line_reader(self, text, want):
+        got = _load(text)
+        _assert_same_result(got, _reference_load(text))
+        assert (got if isinstance(want, str) else got[0]) == want
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         table = EmbeddingTable(dim=4, vectors={
@@ -197,7 +216,7 @@ class TestBlockReading:
 
     def test_duplicate_surface_across_blocks_keeps_last(self):
         lines = _table_text(3 * BLOCK_ROWS)
-        lines[1] = "dup 1 2 3\n"  # the first vector line, parsed on its own
+        lines[1] = "dup 1 2 3\n"  # the first vector line
         lines[BLOCK_ROWS - 1] = "dup 4 5 6\n"
         lines[BLOCK_ROWS + 100] = "dup 7 8 9\n"
         lines[2 * BLOCK_ROWS + 7] = "dup 10 11 12\n"

@@ -5,8 +5,8 @@ import pytest
 
 from simfuse.corpus import BINARY, Dataset, LabeledPair, Sentence
 from simfuse.errors import EmptyCorpus
-from simfuse.tfidf import (CorpusStats, TfIdfVector, build_stats, cosine_sim,
-                           idf, term_frequency, tfidf_vector)
+from simfuse.tfidf import (CorpusStats, build_stats, cosine_sim, idf, term_frequency,
+                           tfidf_vector)
 
 
 def _pair(pid, a, b, label=1.0):
@@ -88,75 +88,69 @@ class TestTfIdfVector:
         vec = tfidf_vector(pair.a, pair, stats)
         ln2 = math.log(2.0)
         ln43 = math.log(4.0 / 3.0)
-        assert vec.weights == pytest.approx(
-            {"a": 0.5 * ln2, "b": 0.5 * ln43, "c": 0.25 * ln2})
+        assert vec == pytest.approx({"a": 0.5 * ln2, "b": 0.5 * ln43, "c": 0.25 * ln2})
 
     def test_all_floored_gives_empty_vector(self):
         stats = CorpusStats(total_pairs=2, pair_doc_freq={"x": 2, "y": 2})
         pair = _pair("1", ["x", "y"], ["x"])
-        assert tfidf_vector(pair.a, pair, stats).weights == {}
+        assert tfidf_vector(pair.a, pair, stats) == {}
 
     def test_support_subset_of_sentence(self, four_pair_corpus):
         stats = build_stats(four_pair_corpus)
         pair = four_pair_corpus.pairs[0]
         vec = tfidf_vector(pair.b, pair, stats)
-        assert set(vec.weights) <= set(pair.b.surfaces())
+        assert set(vec) <= set(pair.b.surfaces())
 
     def test_disjoint_sentences_disjoint_support(self, four_pair_corpus):
         stats = build_stats(four_pair_corpus)
         pair = four_pair_corpus.pairs[2]
         u = tfidf_vector(pair.a, pair, stats)
         v = tfidf_vector(pair.b, pair, stats)
-        assert not (u.weights.keys() & v.weights.keys())
-
-    def test_rejects_stored_zero(self):
-        with pytest.raises(ValueError):
-            TfIdfVector(weights={"a": 0.0})
+        assert not (u.keys() & v.keys())
 
 
 class TestCosineSim:
     def test_self_similarity(self):
-        v = TfIdfVector(weights={"a": 0.3, "b": 1.2})
+        v = {"a": 0.3, "b": 1.2}
         assert cosine_sim(v, v) == pytest.approx(1.0)
 
     def test_disjoint_support(self):
-        u = TfIdfVector(weights={"a": 1.0})
-        v = TfIdfVector(weights={"b": 1.0})
+        u = {"a": 1.0}
+        v = {"b": 1.0}
         assert cosine_sim(u, v) == 0.0
 
     def test_hand_value(self):
-        u = TfIdfVector(weights={"a": 1.0, "b": 1.0})
-        v = TfIdfVector(weights={"a": 1.0})
+        u = {"a": 1.0, "b": 1.0}
+        v = {"a": 1.0}
         assert cosine_sim(u, v) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
     def test_empty_vector_gives_zero(self):
-        assert cosine_sim(TfIdfVector(), TfIdfVector(weights={"a": 1.0})) == 0.0
+        assert cosine_sim({}, {"a": 1.0}) == 0.0
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(11)
         terms = list("abcdefgh")
         for _ in range(200):
-            u = TfIdfVector(weights={
+            u = {
                 t: float(rng.uniform(0.01, 2.0))
                 for t in rng.choice(terms, size=rng.integers(1, 6), replace=False)
-            })
-            v = TfIdfVector(weights={
+            }
+            v = {
                 t: float(rng.uniform(0.01, 2.0))
                 for t in rng.choice(terms, size=rng.integers(1, 6), replace=False)
-            })
+            }
             s = cosine_sim(u, v)
             assert s == cosine_sim(v, u)
             assert 0.0 <= s <= 1.0
 
     def test_never_exceeds_one_on_near_identical(self):
         # rounding in the norm product can push the raw ratio past 1
-        weights = {f"t{i}": 0.1 + 0.07 * i for i in range(9)}
-        v = TfIdfVector(weights=weights)
+        v = {f"t{i}": 0.1 + 0.07 * i for i in range(9)}
         assert cosine_sim(v, v) <= 1.0
 
 
 def _reference_idf(term, stats):
-    """idf as one expression, with no memo."""
+    """idf as one expression, with no table."""
     return max(0.0, math.log(stats.total_pairs / (1 + stats.doc_freq(term))))
 
 
@@ -167,12 +161,12 @@ def _reference_vector(s, pair, stats):
         w = term_frequency(term, pair) * _reference_idf(term, stats)
         if w > 0.0:
             weights[term] = w
-    return TfIdfVector(weights=weights)
+    return weights
 
 
 class TestPairCountingOracle:
-    """tfidf_vector counts a pair's terms once and memoizes idf; its weights
-    and cosines must equal the per-term formula bitwise."""
+    """tfidf_vector counts a pair's terms once and reads idf from a table; its
+    weights and cosines must equal the per-term formula bitwise."""
 
     @pytest.fixture(scope="class")
     def random_pairs(self):
@@ -206,25 +200,23 @@ class TestPairCountingOracle:
             u, v = tfidf_vector(pair.a, pair, stats), tfidf_vector(pair.b, pair, stats)
             want_u = _reference_vector(pair.a, pair, stats)
             want_v = _reference_vector(pair.b, pair, stats)
-            assert list(u.weights.items()) == list(want_u.weights.items())
-            assert list(v.weights.items()) == list(want_v.weights.items())
+            assert list(u.items()) == list(want_u.items())
+            assert list(v.items()) == list(want_v.items())
             assert cosine_sim(u, v) == cosine_sim(want_u, want_v)
 
-    def test_idf_memo_holds_only_the_stats_vocabulary(self, random_pairs, stats):
+    def test_idf_table_holds_the_stats_vocabulary(self, random_pairs, stats):
         for pair in random_pairs:
             tfidf_vector(pair.a, pair, stats)
             tfidf_vector(pair.b, pair, stats)
-        memo = stats._idf_memo
-        assert 0 < len(memo) <= len(stats.pair_doc_freq)
-        assert set(memo) <= set(stats.pair_doc_freq)
-        assert all(value == _reference_idf(term, stats) for term, value in memo.items())
+        table = stats._idf_table
+        assert list(table) == list(stats.pair_doc_freq)
+        assert all(value == _reference_idf(term, stats) for term, value in table.items())
 
     def test_unseen_term_gets_log_total_pairs(self, stats):
         assert idf("never-seen", stats) == math.log(stats.total_pairs)
-        assert "never-seen" not in stats._idf_memo
+        assert "never-seen" not in stats._idf_table
 
-    def test_memo_is_not_part_of_equality(self):
+    def test_idf_table_is_not_part_of_equality(self):
         stats = CorpusStats(total_pairs=4, pair_doc_freq={"w": 1})
-        idf("w", stats)
         assert stats == CorpusStats(total_pairs=4, pair_doc_freq={"w": 1})
-        assert "_idf_memo" not in repr(stats)
+        assert "_idf_table" not in repr(stats)
