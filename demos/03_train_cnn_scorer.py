@@ -19,14 +19,14 @@ rng = np.random.default_rng(42)
 pairs, vocab = [], []
 for i in range(20):
     words = [f"same{i}a", f"same{i}b", f"same{i}c"]
-    s = Sentence.from_surfaces(words)
+    s = Sentence(words)
     pairs.append(LabeledPair(id=f"s{i}", a=s, b=s, label=1.0))
     vocab += words
 for i in range(20):
     left = [f"left{i}a", f"left{i}b", f"left{i}c"]
     right = [f"right{i}a", f"right{i}b", f"right{i}c"]
-    pairs.append(LabeledPair(id=f"d{i}", a=Sentence.from_surfaces(left),
-                             b=Sentence.from_surfaces(right), label=0.0))
+    pairs.append(LabeledPair(id=f"d{i}", a=Sentence(left),
+                             b=Sentence(right), label=0.0))
     vocab += left + right
 dataset = Dataset(pairs=tuple(pairs), label_kind=BINARY)
 table = EmbeddingTable(dim=16, vectors={w: rng.standard_normal(16) for w in vocab})

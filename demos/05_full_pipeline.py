@@ -29,7 +29,7 @@ dataset = parse_pair_file(io.StringIO(pairs_tsv), BINARY)
 
 # Toy embeddings for the demo vocabulary, in the word2vec text format.
 rng = np.random.default_rng(11)
-vocab = sorted({t.surface for p in dataset for t in list(p.a) + list(p.b)})
+vocab = sorted({w for p in dataset for w in p.a.words + p.b.words})
 emb_text = "\n".join(
     w + " " + " ".join(f"{x:.5f}" for x in rng.standard_normal(16)) for w in vocab
 )

@@ -14,17 +14,17 @@ from .attention import (apply_attention, attention_weights, cosine_matrix,
 from .cnn import (CnnParams, cnn_forward, cnn_train,
                   gradient_check, init_params, load_cnn_params, save_cnn_params)
 from .corpus import (BINARY, GRADED, ONE_IS_SIMILAR, ROLES, ZERO_IS_SIMILAR,
-                     Dataset, LabeledPair, Sentence, Token, parse_annotated,
-                     parse_pair_file, serialize_pairs, tokenize)
+                     Dataset, LabeledPair, Sentence, parse_annotated,
+                     parse_pair_file, tokenize)
 from .embedding import (EmbeddingTable, embed_sentence, load_text_embeddings,
                         lookup, save_text_embeddings)
 from .errors import (ConfigError, DegenerateData, DimensionError, EmptyCorpus,
                      EmptyEval, EmptySentence, FormatError, LabelKindError,
                      SimfuseError, UndefinedCorrelation)
-from .fusion import (DEFAULT_WEIGHTS, DIFFERENT, LEARNED, SIMILAR,
-                     WEIGHTED_SUM, FusionNet, FusionParams, FusionWeights,
-                     calibrate_weights, classify, fuse, load_fusion_params,
-                     save_fusion_params, scale_to_sts, train_fusion)
+from .fusion import (DIFFERENT, LEARNED, SIMILAR, WEIGHTED_SUM, FusionNet,
+                     FusionParams, FusionWeights, calibrate_weights, classify,
+                     fuse, load_fusion_params, save_fusion_params, scale_to_sts,
+                     train_fusion)
 from .jaccard import CoOccurrence, co_occurrence, component_weight, jaccard_score
 from .metrics import (MetricReport, confusion_counts, prf_metrics,
                       rank_correlations)

@@ -67,8 +67,7 @@ def position_weights(a: Sentence, b: Sentence) -> tuple[np.ndarray, np.ndarray]:
     index p of the owning sentence's vector.  Indices past the other
     sentence's length, and all non-co-occurrence positions, stay 0.
     """
-    surfaces_a = a.surfaces()
-    surfaces_b = b.surfaces()
+    surfaces_a, surfaces_b = a.words, b.words
     n, m = len(surfaces_a), len(surfaces_b)
     pos_row = np.zeros(n, dtype=np.float64)
     pos_col = np.zeros(m, dtype=np.float64)

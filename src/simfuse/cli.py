@@ -106,9 +106,10 @@ def _resolve_embeddings(args: argparse.Namespace, config: CliConfig) -> str:
 
 
 def _read(path: str, parse: Callable[[IO[str]], T]) -> T:
-    """``parse`` of the UTF-8 text file at ``path``; a decode error or a
-    FormatError ends in a FormatError that names the file."""
-    with pipeline._naming(path, (FormatError,)), open(path, encoding="utf-8") as stream:
+    """``parse`` of the UTF-8 text file at ``path``, without a leading byte
+    order mark; a decode error or a FormatError ends in a FormatError that
+    names the file."""
+    with pipeline._naming(path, (FormatError,)), open(path, encoding="utf-8-sig") as stream:
         return parse(stream)
 
 

@@ -1,8 +1,9 @@
 """Labeled sentence-pair ingestion: tokenization, annotations, TSV parsing.
 
-Tokens carry an optional part-of-speech tag and an optional grammatical
-role (subject/predicate/object/attribute/adverbial/complement/none).  All
-types here are immutable; every operation returns new objects.
+A sentence is three equal-length tuples: its words and, per word, an
+optional grammatical role (subject/predicate/object/attribute/adverbial/
+complement/none) and an optional part-of-speech tag.  All types here are
+immutable; every operation returns new objects.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from typing import IO, Iterable
 
 from .errors import EmptySentence, FormatError
 
-#: Grammatical roles recognised on tokens.
+#: Grammatical roles recognised on words.
 ROLES = frozenset({"SUBJ", "PRED", "OBJ", "ATTR", "ADV", "COMP", "NONE"})
+_ROLES_OR_NONE = ROLES | {None}
 
 BINARY = "binary"
 GRADED = "graded"
@@ -27,45 +29,52 @@ _PUNCT = set(".,!?;:'\"()")
 
 
 @dataclass(frozen=True)
-class Token:
-    surface: str
-    pos: str | None = None
-    role: str | None = None
-
-    def __post_init__(self):
-        if not self.surface or any(c.isspace() for c in self.surface):
-            raise ValueError(f"invalid token surface: {self.surface!r}")
-        if self.role is not None and self.role not in ROLES:
-            raise ValueError(f"unknown grammatical role: {self.role!r}")
-
-
-@dataclass(frozen=True)
 class Sentence:
-    tokens: tuple[Token, ...]
+    """A tokenized sentence: its words and, word by word, a grammatical role
+    and a part-of-speech tag, ``None`` where absent.
+
+    ``roles`` and ``pos`` default to all ``None``.  A sentence is checked
+    once, as it is built: it has at least one word (EmptySentence
+    otherwise), every word is non-empty and free of whitespace, every role
+    is in ROLES or ``None``, and the three tuples have equal lengths
+    (ValueError otherwise).
+    """
+
+    words: tuple[str, ...]
+    roles: tuple[str | None, ...] | None = None
+    pos: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        words = tuple(self.words)
+        if not words:
+            raise EmptySentence("sentence has no words")
+        # str.split breaks at exactly the characters str.isspace accepts and
+        # drops empty strings, so this fails for an empty or spaced word
+        if " ".join(words).split() != list(words):
+            raise ValueError(f"empty word or word with whitespace in {words!r}")
+        none = (None,) * len(words)
+        roles = none if self.roles is None else tuple(self.roles)
+        pos = none if self.pos is None else tuple(self.pos)
+        if len(roles) != len(words) or len(pos) != len(words):
+            raise ValueError(f"{len(words)} words, {len(roles)} roles and {len(pos)} tags")
+        if not _ROLES_OR_NONE.issuperset(roles):
+            raise ValueError(f"unknown grammatical role in {roles!r}")
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "roles", roles)
+        object.__setattr__(self, "pos", pos)
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.words)
 
-    def __iter__(self):
-        return iter(self.tokens)
-
+    # a new list on each call: perfbench's tests compare it with lists
     def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+        return list(self.words)
 
     def truncated(self, n: int) -> "Sentence":
-        """First ``n`` tokens as a new sentence (no-op if already shorter)."""
-        if len(self.tokens) <= n:
+        """First ``n`` words as a new sentence (no-op if already shorter)."""
+        if len(self.words) <= n:
             return self
-        return Sentence(self.tokens[:n])
-
-    @classmethod
-    def from_surfaces(cls, surfaces: Iterable[str], roles: Iterable[str | None] | None = None) -> "Sentence":
-        surfaces = list(surfaces)
-        roles = list(roles) if roles is not None else [None] * len(surfaces)
-        return cls(tuple(Token(s, role=r) for s, r in zip(surfaces, roles)))
+        return Sentence(self.words[:n], self.roles[:n], self.pos[:n])
 
 
 @dataclass(frozen=True)
@@ -104,13 +113,11 @@ def tokenize(raw: str) -> Sentence:
     """Whitespace tokenization with punctuation splitting and lowercasing.
 
     A maximal run of leading or trailing punctuation on a chunk becomes its
-    own token; punctuation inside a chunk (e.g. "can't") is left alone.
+    own word; punctuation inside a chunk (e.g. "can't") is left alone.
 
     Raises EmptySentence on empty or whitespace-only input.
     """
-    if not raw or raw.isspace():
-        raise EmptySentence("cannot tokenize empty input")
-    tokens: list[Token] = []
+    words: list[str] = []
     for chunk in raw.lower().split():
         i, j = 0, len(chunk)
         while i < j and chunk[i] in _PUNCT:
@@ -118,37 +125,37 @@ def tokenize(raw: str) -> Sentence:
         while j > i and chunk[j - 1] in _PUNCT:
             j -= 1
         if i > 0:
-            tokens.append(Token(chunk[:i]))
+            words.append(chunk[:i])
         if i < j:
-            tokens.append(Token(chunk[i:j]))
+            words.append(chunk[i:j])
         if j < len(chunk):
-            tokens.append(Token(chunk[j:]))
-    return Sentence(tuple(tokens))
+            words.append(chunk[j:])
+    return Sentence(tuple(words))
 
 
 def parse_annotated(raw: str) -> Sentence:
-    """Parse the inline ``surface|POS|ROLE`` token format.
+    """Parse the inline ``surface|POS|ROLE`` word format.
 
     POS and ROLE may be ``_`` meaning absent.  Raises FormatError on a
-    wrong field count or an unrecognised role.
+    wrong field count, an empty surface or an unrecognised role, and
+    EmptySentence on empty or whitespace-only input.
     """
-    if not raw or raw.isspace():
-        raise EmptySentence("cannot parse empty annotated input")
-    tokens = []
+    words, pos, roles = [], [], []
     for part in raw.split():
         fields = part.split("|")
         if len(fields) != 3:
             raise FormatError(f"expected surface|POS|ROLE, got {part!r}")
-        surface, pos, role = fields
-        pos = None if pos == "_" else pos
+        surface, tag, role = fields
         if role == "_":
             role = None
         elif role not in ROLES:
             raise FormatError(f"unknown role {role!r} in {part!r}")
         if not surface:
             raise FormatError(f"empty surface in {part!r}")
-        tokens.append(Token(surface, pos=pos, role=role))
-    return Sentence(tuple(tokens))
+        words.append(surface)
+        pos.append(None if tag == "_" else tag)
+        roles.append(role)
+    return Sentence(tuple(words), tuple(roles), tuple(pos))
 
 
 def _parse_label(text: str, label_kind: str, convention: str, lineno: int) -> float:
@@ -200,33 +207,3 @@ def parse_pair_file(stream: IO[str] | Iterable[str], label_kind: str,
         label = _parse_label(label_text.strip(), label_kind, convention, lineno)
         pairs.append(LabeledPair(id=pair_id, a=a, b=b, label=label))
     return Dataset(pairs=tuple(pairs), label_kind=label_kind)
-
-
-def _format_label(pair: LabeledPair, label_kind: str, convention: str) -> str:
-    if label_kind == BINARY:
-        raw = pair.label if convention == ONE_IS_SIMILAR else 1.0 - pair.label
-        return str(int(raw))
-    return repr(pair.label)
-
-
-def _serialize_sentence(s: Sentence) -> str:
-    plain = " ".join(s.surfaces())
-    annotated = any(t.pos is not None or t.role is not None for t in s.tokens)
-    # The plain form only survives a round trip if re-tokenizing it gives
-    # back the same surfaces (no case folding or punctuation splitting).
-    if not annotated and tokenize(plain).surfaces() == s.surfaces():
-        return plain
-    return " ".join(f"{t.surface}|{t.pos or '_'}|{t.role or '_'}" for t in s.tokens)
-
-
-def serialize_pairs(dataset: Dataset, convention: str = ONE_IS_SIMILAR) -> str:
-    """Inverse of parse_pair_file; round-trips datasets through the TSV format."""
-    lines = []
-    for pair in dataset.pairs:
-        lines.append("\t".join([
-            pair.id,
-            _serialize_sentence(pair.a),
-            _serialize_sentence(pair.b),
-            _format_label(pair, dataset.label_kind, convention),
-        ]))
-    return "\n".join(lines) + ("\n" if lines else "")

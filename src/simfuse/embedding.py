@@ -284,5 +284,5 @@ def embed_sentence(table: EmbeddingTable, s: Sentence, n_max: int) -> np.ndarray
     length = min(len(s), n_max)
     rows = np.empty((length, table.dim), dtype=np.float64)
     for i in range(length):
-        rows[i] = lookup(table, s.tokens[i].surface)
+        rows[i] = lookup(table, s.words[i])
     return rows

@@ -6,7 +6,7 @@ class SimfuseError(Exception):
 
 
 class EmptySentence(SimfuseError):
-    """Raised when tokenization receives empty or whitespace-only input."""
+    """Raised when a sentence would have no words (empty or whitespace-only input)."""
 
 
 class FormatError(SimfuseError):

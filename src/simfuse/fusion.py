@@ -51,10 +51,6 @@ class FusionWeights:
         return np.array([self.alpha, self.beta, self.gamma])
 
 
-#: Default weights for the accuracy-calibrated fused scorer.
-DEFAULT_WEIGHTS = FusionWeights(alpha=0.38, beta=0.40, gamma=0.22)
-
-
 @dataclass(frozen=True)
 class FusionNet:
     """Shallow combiner: 3 -> hidden ReLU -> sigmoid scalar."""

@@ -30,8 +30,8 @@ class CoOccurrence:
 
 def _first_roles(s: Sentence) -> dict[str, str | None]:
     roles: dict[str, str | None] = {}
-    for token in s.tokens:
-        roles.setdefault(token.surface, token.role)
+    for word, role in zip(s.words, s.roles):
+        roles.setdefault(word, role)
     return roles
 
 
@@ -72,11 +72,7 @@ def jaccard_score(a: Sentence, b: Sentence, clamp: bool = True) -> float:
     (the default) the result is capped at 1.0 for use in the fused
     pipeline; pass ``clamp=False`` to inspect the raw value.
     """
-    set_a = set(a.surfaces())
-    set_b = set(b.surfaces())
-    union = set_a | set_b
-    if not union:
-        return 0.0
+    union = set(a.words) | set(b.words)
     common = co_occurrence(a, b)
     raw = component_weight(common) * len(common.words) / len(union)
     return min(1.0, raw) if clamp else raw

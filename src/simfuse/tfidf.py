@@ -60,7 +60,7 @@ def build_stats(dataset: Dataset) -> CorpusStats:
         raise EmptyCorpus("cannot build statistics for an empty dataset")
     freq: dict[str, int] = {}
     for pair in dataset:
-        for term in set(pair.a.surfaces()) | set(pair.b.surfaces()):
+        for term in set(pair.a.words) | set(pair.b.words):
             freq[term] = freq.get(term, 0) + 1
     return CorpusStats(total_pairs=len(dataset), pair_doc_freq=freq)
 
@@ -69,8 +69,8 @@ def term_frequency(term: str, pair: LabeledPair) -> float:
     """Occurrences of ``term`` across both sentences, over the size of
     the union of the two surface sets.  May exceed 1 for repeated terms.
     """
-    occurrences = pair.a.surfaces().count(term) + pair.b.surfaces().count(term)
-    union = set(pair.a.surfaces()) | set(pair.b.surfaces())
+    occurrences = pair.a.words.count(term) + pair.b.words.count(term)
+    union = set(pair.a.words) | set(pair.b.words)
     return occurrences / len(union)
 
 
@@ -99,11 +99,11 @@ def tfidf_vector(s: Sentence, pair: LabeledPair, stats: CorpusStats) -> dict[str
     terms are stored in sorted order so later float summations are
     independent of the process's string-hash seed.
     """
-    counts = Counter(pair.a.surfaces())
-    counts.update(pair.b.surfaces())
+    counts = Counter(pair.a.words)
+    counts.update(pair.b.words)
     n_union = len(counts)
     weights = {}
-    for term in sorted(set(s.surfaces())):
+    for term in sorted(set(s.words)):
         w = counts[term] / n_union * idf(term, stats)
         if w > 0.0:
             weights[term] = w

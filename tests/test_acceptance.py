@@ -18,10 +18,10 @@ from simfuse.cnn import (TrainConfig, cnn_forward, cnn_train, gradient_check,
                          init_params, loss_and_gradients, max_relative_error,
                          numeric_gradients)
 from simfuse.corpus import Sentence
-from simfuse.fusion import (DEFAULT_WEIGHTS, DIFFERENT, SIMILAR, FusionParams,
-                            calibrate_weights, classify, fuse)
+from simfuse.fusion import (DIFFERENT, SIMILAR, FusionParams, calibrate_weights,
+                            classify, fuse)
 
-from toy import separable_toy_set
+from toy import DEFAULT_WEIGHTS, separable_toy_set
 
 #: Reference weight rows: per-model metric triple (jaccard, cnn, tfidf)
 #: and the expected (alpha, beta, gamma) it must reproduce within +-0.02.
@@ -89,9 +89,9 @@ def _jaccard_by_transcription(sen_a, sen_b):
                 com_word.append(i)
 
     def role_of(sentence, word):
-        for token in sentence.tokens:
-            if token.surface == word:
-                return token.role
+        for surface, role in zip(sentence.words, sentence.roles):
+            if surface == word:
+                return role
         return None
 
     if len(com_word) >= 3:
@@ -119,7 +119,7 @@ def test_criterion_3a_jaccard_oracle_equivalence():
         n = int(rng.integers(1, 7))
         surfaces = [alphabet[i] for i in rng.integers(0, 5, size=n)]
         roles = [ROLE_CHOICES[i] for i in rng.integers(0, len(ROLE_CHOICES), size=n)]
-        return Sentence.from_surfaces(surfaces, roles)
+        return Sentence(surfaces, roles)
 
     mismatches = 0
     for _ in range(1000):

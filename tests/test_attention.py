@@ -108,40 +108,40 @@ class TestEditDistance:
 
 class TestPositionWeights:
     def test_disjoint_all_zero(self):
-        row, col = position_weights(Sentence.from_surfaces(["a", "b"]),
-                                    Sentence.from_surfaces(["c", "d"]))
+        row, col = position_weights(Sentence(["a", "b"]),
+                                    Sentence(["c", "d"]))
         assert not row.any() and not col.any()
 
     def test_identical_all_zero(self):
-        s = Sentence.from_surfaces(["ab", "cd"])
+        s = Sentence(["ab", "cd"])
         row, col = position_weights(s, s)
         assert not row.any() and not col.any()
 
     def test_aligned_co_word(self):
-        row, col = position_weights(Sentence.from_surfaces(["ab", "x"]),
-                                    Sentence.from_surfaces(["ab", "yz"]))
+        row, col = position_weights(Sentence(["ab", "x"]),
+                                    Sentence(["ab", "yz"]))
         np.testing.assert_array_equal(row, [0.0, 0.0])
         np.testing.assert_array_equal(col, [0.0, 0.0])
 
     def test_displaced_co_word(self):
         # "ab" sits at index 0 in A but index 1 in B; each side compares it
         # with the other sentence's token at its own index.
-        row, col = position_weights(Sentence.from_surfaces(["ab", "x"]),
-                                    Sentence.from_surfaces(["y", "ab"]))
+        row, col = position_weights(Sentence(["ab", "x"]),
+                                    Sentence(["y", "ab"]))
         np.testing.assert_array_equal(row, [2.0 * 2 / 2, 0.0])  # dist("ab","y") = 2
         np.testing.assert_array_equal(col, [0.0, 2.0 * 2 / 2])  # dist("ab","x") = 2
 
     def test_out_of_range_position_ignored(self):
         # co-word at index 2 of A, but B has only 2 tokens: row entry stays 0
-        a = Sentence.from_surfaces(["p", "q", "ab"])
-        b = Sentence.from_surfaces(["ab", "r"])
+        a = Sentence(["p", "q", "ab"])
+        b = Sentence(["ab", "r"])
         row, col = position_weights(a, b)
         assert row[2] == 0.0
         assert col[0] == pytest.approx(2.0 * edit_distance("ab", "p") / 2)
 
     def test_first_occurrence_defines_location(self):
-        a = Sentence.from_surfaces(["w", "w", "z"])
-        b = Sentence.from_surfaces(["q", "w"])
+        a = Sentence(["w", "w", "z"])
+        b = Sentence(["q", "w"])
         row, _ = position_weights(a, b)
         assert row[0] == pytest.approx(2.0 * edit_distance("w", "q") / 2)
         assert row[1] == 0.0
@@ -215,8 +215,8 @@ class TestApplyAttention:
 class TestWeightedPairMatrices:
     def test_shapes_and_weighting(self):
         table = EmbeddingTable(dim=4, vectors={})
-        a = Sentence.from_surfaces(["one", "two", "three"])
-        b = Sentence.from_surfaces(["one", "four"])
+        a = Sentence(["one", "two", "three"])
+        b = Sentence(["one", "four"])
         wa, wb = weighted_pair_matrices(a, b, table, n_max=6)
         assert wa.shape == (3, 4) and wb.shape == (2, 4)
         # attention weights sum to 1, so total row norm is a convex mix of
@@ -227,8 +227,8 @@ class TestWeightedPairMatrices:
 
     def test_truncates_consistently(self):
         table = EmbeddingTable(dim=4, vectors={})
-        long_a = Sentence.from_surfaces([f"w{i}" for i in range(10)])
-        b = Sentence.from_surfaces(["w0", "w1"])
+        long_a = Sentence([f"w{i}" for i in range(10)])
+        b = Sentence(["w0", "w1"])
         wa, wb = weighted_pair_matrices(long_a, b, table, n_max=4)
         assert wa.shape == (4, 4)
         assert wb.shape == (2, 4)

@@ -16,12 +16,12 @@ from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, cnn_train, init_
 from simfuse.embedding import (BLOCK_ROWS, EmbeddingTable, load_text_embeddings,
                                save_text_embeddings)
 from simfuse.errors import FormatError
-from simfuse.fusion import (DEFAULT_WEIGHTS, LEARNED, WEIGHTED_SUM, FusionNet,
-                            FusionParams, FusionWeights)
+from simfuse.fusion import (LEARNED, WEIGHTED_SUM, FusionNet, FusionParams,
+                            FusionWeights)
 from simfuse.pipeline import ModelBundle, load_bundle, save_bundle
 from simfuse.tfidf import CorpusStats, build_stats
 
-from toy import separable_toy_set
+from toy import DEFAULT_WEIGHTS, separable_toy_set
 
 GOLDEN = {
     "cnn.params": (

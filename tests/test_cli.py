@@ -156,6 +156,26 @@ class TestTrain:
         assert status == 1
         assert "line 7" in capsys.readouterr().err
 
+    def test_empty_sentence_column_names_its_line(self, workdir, tmp_path, capsys):
+        _, _, embeddings, _ = workdir
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(PAIRS + "5\tred apple\t\t1\n", encoding="utf-8")
+        status = main(["train", "--pairs", str(bad), "--embeddings", str(embeddings),
+                       "--out", str(tmp_path / "m")])
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: line 5: sentence has no words"]
+
+    def test_byte_order_mark_on_embeddings_is_skipped(self, workdir, tmp_path):
+        _, pairs, embeddings, config = workdir
+        marked = tmp_path / "marked.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + embeddings.read_bytes())
+        for name, path in (("plain", embeddings), ("marked", marked)):
+            assert main(["train", "--pairs", str(pairs), "--embeddings", str(path),
+                         "--out", str(tmp_path / name), "--config", str(config)]) == 0
+        assert [(tmp_path / "marked" / f.name).read_bytes() == f.read_bytes()
+                for f in sorted((tmp_path / "plain").iterdir())] == [True] * 6
+
     def test_embeddings_from_environment(self, workdir, monkeypatch, tmp_path):
         _, pairs, embeddings, config = workdir
         monkeypatch.setenv("SIMFUSE_EMBEDDINGS", str(embeddings))
@@ -224,6 +244,18 @@ class TestScore:
         status = main(["score", "--model", str(tmp_path / "nowhere"),
                        "--pairs", str(pairs)])
         assert status == 1
+
+    def test_byte_order_mark_on_pairs_is_skipped(self, workdir, tmp_path, capsys):
+        out = _train(workdir)
+        _, pairs, _, _ = workdir
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + pairs.read_bytes())
+        capsys.readouterr()
+        main(["score", "--model", str(out), "--pairs", str(pairs)])
+        plain = capsys.readouterr().out
+        assert main(["score", "--model", str(out), "--pairs", str(marked)]) == 0
+        assert capsys.readouterr().out == plain
+        assert plain.startswith("1\t")
 
     def test_deterministic_output(self, workdir, capsys):
         out = _train(workdir)
@@ -395,6 +427,11 @@ class TestConfigFile:
             path.write_text(f"{key} = {value}\n", encoding="utf-8")
             got = getattr(parse_config_file(str(path)), key)
             assert (got, type(got)) == (getattr(default, key), type(getattr(default, key))), key
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"\xef\xbb\xbfepochs = 5\n")
+        assert parse_config_file(str(path)).epochs == 5
 
     def test_integral_float_parses_as_float(self, tmp_path):
         path = tmp_path / "c.cfg"

@@ -52,7 +52,7 @@ class TestForward:
         # n_max past the sentence length adds no rows, so it cannot move the score
         rng = np.random.default_rng(4)
         table = EmbeddingTable(dim=3, vectors={})
-        sentence = Sentence.from_surfaces(["w0", "w1", "w2", "w3"])
+        sentence = Sentence(["w0", "w1", "w2", "w3"])
         short = embed_sentence(table, sentence, n_max=4)
         roomy = embed_sentence(table, sentence, n_max=12)
         assert short.shape == roomy.shape == (4, 3)

@@ -1,10 +1,10 @@
 import io
+import sys
 
 import pytest
 
-from simfuse.corpus import (BINARY, GRADED, ZERO_IS_SIMILAR, Dataset,
-                            LabeledPair, Sentence, Token, parse_annotated,
-                            parse_pair_file, serialize_pairs, tokenize)
+from simfuse.corpus import (BINARY, GRADED, ZERO_IS_SIMILAR, Dataset, Sentence,
+                            parse_annotated, parse_pair_file, tokenize)
 from simfuse.errors import EmptySentence, FormatError
 
 
@@ -37,21 +37,22 @@ class TestTokenize:
             assert again.surfaces() == once.surfaces()
 
     def test_no_pos_or_roles(self):
-        assert all(t.pos is None and t.role is None for t in tokenize("a b"))
+        s = tokenize("a b")
+        assert (s.roles, s.pos) == ((None, None), (None, None))
 
 
 class TestParseAnnotated:
     def test_roles_attached(self):
         s = parse_annotated("cat|NOUN|SUBJ runs|VERB|PRED")
-        assert [t.surface for t in s] == ["cat", "runs"]
-        assert [t.pos for t in s] == ["NOUN", "VERB"]
-        assert [t.role for t in s] == ["SUBJ", "PRED"]
+        assert s.words == ("cat", "runs")
+        assert s.pos == ("NOUN", "VERB")
+        assert s.roles == ("SUBJ", "PRED")
 
     def test_underscore_means_absent(self):
         s = parse_annotated("cat|NOUN|_")
-        assert s.tokens[0].role is None
-        assert s.tokens[0].pos == "NOUN"
-        assert parse_annotated("cat|_|SUBJ").tokens[0].pos is None
+        assert s.roles[0] is None
+        assert s.pos[0] == "NOUN"
+        assert parse_annotated("cat|_|SUBJ").pos[0] is None
 
     def test_wrong_field_count(self):
         with pytest.raises(FormatError):
@@ -62,6 +63,10 @@ class TestParseAnnotated:
     def test_unknown_role(self):
         with pytest.raises(FormatError):
             parse_annotated("cat|NOUN|BOSS")
+
+    def test_empty_raises(self):
+        with pytest.raises(EmptySentence):
+            parse_annotated(" ")
 
 
 class TestParsePairFile:
@@ -94,49 +99,66 @@ class TestParsePairFile:
 
     def test_annotated_autodetected(self):
         ds = parse_pair_file(io.StringIO("1\tcat|NOUN|SUBJ\tdog|NOUN|SUBJ\t1\n"), BINARY)
-        assert ds.pairs[0].a.tokens[0].role == "SUBJ"
+        assert ds.pairs[0].a.roles[0] == "SUBJ"
 
     def test_label_convention_inverts(self):
         ds = parse_pair_file(io.StringIO("1\ta\tb\t0\n"), BINARY,
                              convention=ZERO_IS_SIMILAR)
         assert ds.pairs[0].label == 1.0
 
-    def test_round_trip_binary(self):
+    def test_plain_and_annotated_columns(self):
         text = "1\tcan i use it\tcan't i use it\t1\n2\tcat|NOUN|SUBJ\tdog|NOUN|_\t0\n"
         ds = parse_pair_file(io.StringIO(text), BINARY)
-        assert parse_pair_file(io.StringIO(serialize_pairs(ds)), BINARY) == ds
+        assert ds.pairs[0].b == Sentence(("can't", "i", "use", "it"))
+        assert ds.pairs[1].a == Sentence(("cat",), roles=("SUBJ",), pos=("NOUN",))
+        assert ds.pairs[1].b == Sentence(("dog",), roles=(None,), pos=("NOUN",))
+        assert [p.label for p in ds] == [1.0, 0.0]
 
-    def test_round_trip_graded(self):
+    def test_graded_labels(self):
         text = "a\tx y\ty z\t3.25\nb\tp q\tq r\t0.0\n"
         ds = parse_pair_file(io.StringIO(text), GRADED)
-        assert parse_pair_file(io.StringIO(serialize_pairs(ds)), GRADED) == ds
+        assert [p.label for p in ds] == [3.25, 0.0]
 
-    def test_round_trip_survives_uppercase_surfaces(self):
-        pair = LabeledPair(
-            id="1",
-            a=Sentence((Token("Mixed"), Token("Case"))),
-            b=Sentence((Token("plain"),)),
-            label=1.0,
-        )
-        ds = Dataset(pairs=(pair,), label_kind=BINARY)
-        assert parse_pair_file(io.StringIO(serialize_pairs(ds)), BINARY) == ds
+    def test_empty_column_names_its_line(self):
+        with pytest.raises(FormatError, match="^line 2: sentence has no words$"):
+            parse_pair_file(io.StringIO("1\ta\tb\t1\n2\ta\t \t0\n"), BINARY)
 
 
 class TestTypes:
-    def test_token_rejects_whitespace_surface(self):
+    @pytest.mark.parametrize("words, roles, pos", [
+        (("two words",), None, None),
+        (("",), None, None),
+        (("ok", "tab\tbed"), None, None),
+        (("ok",), ("NOPE",), None),
+        (("a", "b"), ("SUBJ",), None),
+        (("a",), None, ("NOUN", "VERB")),
+    ], ids=["space", "empty_word", "tab", "unknown_role", "short_roles", "long_pos"])
+    def test_sentence_rejects(self, words, roles, pos):
         with pytest.raises(ValueError):
-            Token("two words")
-        with pytest.raises(ValueError):
-            Token("")
+            Sentence(words, roles, pos)
 
-    def test_token_rejects_unknown_role(self):
-        with pytest.raises(ValueError):
-            Token("ok", role="NOPE")
+    def test_sentence_without_words_is_empty(self):
+        with pytest.raises(EmptySentence):
+            Sentence(())
+
+    def test_word_rule_is_str_isspace_over_every_code_point(self):
+        chars = [chr(c) for c in range(sys.maxunicode + 1)]
+        # every other code point is accepted, inside a word and as one
+        Sentence(tuple(f"a{c}b" for c in chars if not c.isspace()))
+        Sentence(tuple(c for c in chars if not c.isspace()))
+        rejected = [c for c in chars if c.isspace()]
+        assert len(rejected) > 20
+        for c in rejected:
+            with pytest.raises(ValueError):
+                Sentence(("ok", f"a{c}b"))
+            with pytest.raises(ValueError):
+                Sentence((c,))
 
     def test_sentence_truncated(self):
-        s = Sentence.from_surfaces(["a", "b", "c"])
+        s = Sentence(("a", "b", "c"), roles=("SUBJ", None, "OBJ"), pos=("N", "V", None))
+        assert s.truncated(2) == Sentence(("a", "b"), roles=("SUBJ", None), pos=("N", "V"))
         assert s.truncated(2).surfaces() == ["a", "b"]
-        assert s.truncated(5) is s
+        assert s.truncated(3) is s
 
     def test_dataset_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -357,14 +357,14 @@ class TestEmbedSentence:
     def test_padding_and_mask(self):
         table = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0]),
                                                "b": np.array([0.0, 1.0])})
-        m = embed_sentence(table, Sentence.from_surfaces(["a", "b"]), n_max=4)
+        m = embed_sentence(table, Sentence(["a", "b"]), n_max=4)
         assert m.shape == (2, 2)  # one row per token, none for n_max headroom
         np.testing.assert_array_equal(m[0], [1.0, 0.0])
         np.testing.assert_array_equal(m[1], [0.0, 1.0])
 
     def test_truncation_keeps_prefix(self):
         table = EmbeddingTable(dim=2, vectors={})
-        s = Sentence.from_surfaces(["t0", "t1", "t2", "t3", "t4"])
+        s = Sentence(["t0", "t1", "t2", "t3", "t4"])
         m = embed_sentence(table, s, n_max=4)
         assert m.shape == (4, 2)
         np.testing.assert_array_equal(m[0], lookup(table, "t0"))
@@ -372,14 +372,14 @@ class TestEmbedSentence:
 
     def test_padding_rows_zero_norm(self):
         table = EmbeddingTable(dim=3, vectors={})
-        m = embed_sentence(table, Sentence.from_surfaces(["x"]), n_max=5)
+        m = embed_sentence(table, Sentence(["x"]), n_max=5)
         assert m.shape == (1, 3)  # no zero-norm padding rows
         np.testing.assert_array_equal(m[0], lookup(table, "x"))
 
     def test_invalid_n_max(self):
         table = EmbeddingTable(dim=3, vectors={})
         with pytest.raises(ValueError):
-            embed_sentence(table, Sentence.from_surfaces(["x"]), n_max=0)
+            embed_sentence(table, Sentence(["x"]), n_max=0)
 
 
 class TestEmbeddingTable:

@@ -5,11 +5,13 @@ import pytest
 
 from simfuse.cnn import TrainConfig
 from simfuse.errors import ConfigError, DegenerateData, FormatError, SimfuseError
-from simfuse.fusion import (DEFAULT_WEIGHTS, DIFFERENT, LEARNED, SIMILAR,
-                            WEIGHTED_SUM, FusionParams, FusionWeights,
+from simfuse.fusion import (DIFFERENT, LEARNED, SIMILAR, WEIGHTED_SUM,
+                            FusionParams, FusionWeights,
                             calibrate_weights, classify, fuse,
                             load_fusion_params, save_fusion_params,
                             scale_to_sts, train_fusion)
+
+from toy import DEFAULT_WEIGHTS
 
 
 class TestFusionWeights:

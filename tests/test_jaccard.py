@@ -9,7 +9,7 @@ ROLE_CHOICES = [None, "NONE", "SUBJ", "PRED", "OBJ", "ATTR", "ADV", "COMP"]
 
 
 def _sentence(surfaces, roles=None):
-    return Sentence.from_surfaces(surfaces, roles)
+    return Sentence(surfaces, roles)
 
 
 def _weight_of(pairs):

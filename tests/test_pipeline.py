@@ -5,19 +5,18 @@ from simfuse import cnn, tfidf
 from simfuse.cnn import DEFAULT_N_MAX, TrainConfig, cnn_train, init_params
 from simfuse.corpus import BINARY, GRADED, Dataset, LabeledPair, Sentence
 from simfuse.errors import ConfigError, EmptyCorpus, EmptyEval, LabelKindError
-from simfuse.fusion import (DEFAULT_WEIGHTS, SIMILAR, WEIGHTED_SUM,
-                            FusionParams, calibrate_weights)
+from simfuse.fusion import SIMILAR, WEIGHTED_SUM, FusionParams, calibrate_weights
 from simfuse.pipeline import (ModelBundle, component_scores, evaluate,
                               load_bundle, save_bundle, score_with_bundle,
                               train_bundle, weights_from_scores)
 from simfuse.tfidf import build_stats
 
-from toy import separable_toy_set
+from toy import DEFAULT_WEIGHTS, separable_toy_set
 
 
 def _pair(pid, a, b, label=1.0):
-    return LabeledPair(id=pid, a=Sentence.from_surfaces(a),
-                       b=Sentence.from_surfaces(b), label=label)
+    return LabeledPair(id=pid, a=Sentence(a),
+                       b=Sentence(b), label=label)
 
 
 @pytest.fixture(scope="module")

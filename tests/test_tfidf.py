@@ -10,8 +10,8 @@ from simfuse.tfidf import (CorpusStats, build_stats, cosine_sim, idf, term_frequ
 
 
 def _pair(pid, a, b, label=1.0):
-    return LabeledPair(id=pid, a=Sentence.from_surfaces(a),
-                       b=Sentence.from_surfaces(b), label=label)
+    return LabeledPair(id=pid, a=Sentence(a),
+                       b=Sentence(b), label=label)
 
 
 @pytest.fixture()
@@ -182,10 +182,10 @@ class TestPairCountingOracle:
     @pytest.fixture(scope="class")
     def stats(self, random_pairs):
         # statistics of the first pairs, without "w11" (so other pairs hold
-        # a term the stats have never seen) and with "w0" in every pair (so
-        # its idf is floored at 0)
-        seen = [_pair(p.id, [t for t in p.a.surfaces() if t != "w11"] + ["w0"],
-                      [t for t in p.b.surfaces() if t != "w11"])
+        # a term the stats have never seen) and with "w0" in every sentence
+        # (so its idf is floored at 0, and no sentence is left empty)
+        seen = [_pair(p.id, [t for t in p.a.words if t != "w11"] + ["w0"],
+                      [t for t in p.b.words if t != "w11"] + ["w0"])
                 for p in random_pairs[:40]]
         return build_stats(Dataset(pairs=tuple(seen), label_kind=BINARY))
 

@@ -4,6 +4,10 @@ import numpy as np
 
 from simfuse.corpus import BINARY, Dataset, LabeledPair, Sentence
 from simfuse.embedding import EmbeddingTable
+from simfuse.fusion import FusionWeights
+
+#: A fixed, valid weight triple for tests that fuse without calibrating.
+DEFAULT_WEIGHTS = FusionWeights(alpha=0.38, beta=0.40, gamma=0.22)
 
 
 def toy_table(words, dim=16, seed=2024):
@@ -19,7 +23,7 @@ def separable_toy_set(n_per_class=50, dim=16):
     vocab = []
     for i in range(n_per_class):
         words = [f"same{i}a", f"same{i}b", f"same{i}c"]
-        s = Sentence.from_surfaces(words)
+        s = Sentence(words)
         pairs.append(LabeledPair(id=f"sim{i}", a=s, b=s, label=1.0))
         vocab.extend(words)
     for i in range(n_per_class):
@@ -27,8 +31,8 @@ def separable_toy_set(n_per_class=50, dim=16):
         right = [f"right{i}a", f"right{i}b", f"right{i}c"]
         pairs.append(LabeledPair(
             id=f"dif{i}",
-            a=Sentence.from_surfaces(left),
-            b=Sentence.from_surfaces(right),
+            a=Sentence(left),
+            b=Sentence(right),
             label=0.0,
         ))
         vocab.extend(left + right)
