@@ -9,13 +9,19 @@ symmetric combination (|f_A - f_B|, f_A * f_B).  Everything is plain
 numpy; gradients are implemented by hand and verifiable against central
 differences.  The loss, the logistic output and the SGD loop come from
 ``nn.py``.
+
+Scoring runs one pair at a time (``cnn_forward``).  Training runs one
+mini-batch at a time: ``cnn_train`` computes every training pair's
+attention-weighted matrices once, and ``loss_and_gradients`` stacks a
+batch's sentences into one token-row matrix, convolves all their windows
+at once and max-pools each sentence over its own windows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -23,7 +29,7 @@ from .attention import weighted_pair_matrices
 from .corpus import BINARY, Dataset
 from .embedding import EmbeddingTable, format_row, parse_int, parse_row
 from .errors import FormatError, LabelKindError
-from .nn import TrainConfig, bce_from_logit, sigmoid, sgd
+from .nn import TrainConfig, bce_from_logit, bce_loss_and_dlogits, sigmoid, sgd
 
 DEFAULT_FILTERS = 32
 DEFAULT_KERNEL_WIDTH = 3
@@ -145,41 +151,65 @@ def cnn_forward(params: CnnParams, a: np.ndarray, b: np.ndarray) -> float:
     return sigmoid(_forward(params, a, b)["logit"])
 
 
-def _conv_backward(params: CnnParams, conv: dict, dfeats: np.ndarray,
-                   grads: dict) -> None:
-    n_filters = params.n_filters
-    dact = np.zeros_like(conv["pre"])
-    dact[conv["best"], np.arange(n_filters)] = dfeats
-    dpre = dact * (conv["pre"] > 0.0)
-    grads["filters"] += (dpre.T @ conv["windows"]).reshape(params.filters.shape)
-    grads["filter_bias"] += dpre.sum(axis=0)
+def loss_and_gradients(params: CnnParams, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                       labels: Sequence[float]) -> tuple[float, dict]:
+    """Cross-entropy loss summed over a batch of (a, b) matrix pairs, and its
+    analytic parameter gradients, also summed over the batch.
 
+    The batch's sentences are stacked into one token-row matrix, each one
+    zero-padded to at least ``k`` rows as ``_windows`` pads a short
+    sentence.  Every window position of that stack is convolved at once,
+    one matmul per kernel row; windows that straddle two sentences are
+    computed but never read.  Each sentence is max-pooled over its own
+    windows.
+    """
+    k, n_filters = params.kernel_width, params.n_filters
+    mats = [a for a, _ in pairs] + [b for _, b in pairs]
+    n_pairs = len(pairs)
+    lengths = [max(len(m), k) for m in mats]
+    starts = np.cumsum([0] + lengths[:-1])
+    rows = np.zeros((sum(lengths), params.dim))
+    for start, mat in zip(starts.tolist(), mats):
+        rows[start : start + len(mat)] = mat
 
-def loss_and_gradients(params: CnnParams, a: np.ndarray, b: np.ndarray,
-                       label: float) -> tuple[float, dict]:
-    """Cross-entropy loss for one pair and its analytic parameter gradients."""
-    cache = _forward(params, a, b)
-    loss = bce_from_logit(cache["logit"], label)
-    dlogit = sigmoid(cache["logit"]) - label
+    # the k row-shifted views of the stack stand in for its windows, so
+    # that no (windows, k * d) copy is made
+    n_positions = len(rows) - k + 1
+    shifted = [rows[i : i + n_positions] for i in range(k)]
+    pre = params.filter_bias[:, None] + sum(
+        params.filters[:, i] @ shifted[i].T for i in range(k))  # (F, positions)
+    # each sentence's valid windows, -inf past its last one
+    n_windows = [n - k + 1 for n in lengths]
+    grid = np.full((len(mats), n_filters, max(n_windows)), -np.inf)
+    for sentence, start, n in zip(grid, starts.tolist(), n_windows):
+        sentence[:, :n] = pre[:, start : start + n]
+    best = grid.argmax(axis=2)  # (2B, F): the max-pool's winning windows
+    top = grid.max(axis=2)
+    feats = np.maximum(top, 0.0)
 
-    dhidden = dlogit * params.out_w
-    dhidden_pre = dhidden * (cache["hidden_pre"] > 0.0)
-    dz = params.dense_w.T @ dhidden_pre
-    grads = {
-        "filters": np.zeros_like(params.filters),
-        "filter_bias": np.zeros_like(params.filter_bias),
-        "dense_w": np.outer(dhidden_pre, cache["z"]),
-        "dense_b": dhidden_pre,
-        "out_w": dlogit * cache["hidden"],
-        "out_b": dlogit,
-    }
+    fa, fb = feats[:n_pairs], feats[n_pairs:]
+    z = np.concatenate([np.abs(fa - fb), fa * fb], axis=1)
+    hidden_pre = z @ params.dense_w.T + params.dense_b
+    hidden = np.maximum(hidden_pre, 0.0)
+    logits = hidden @ params.out_w + params.out_b
+    loss, dlogits = bce_loss_and_dlogits(logits, np.asarray(labels, dtype=np.float64))
 
-    n_filters = params.n_filters
-    dabs, dprod = dz[:n_filters], dz[n_filters:]
-    fa, fb = cache["conv_a"]["feats"], cache["conv_b"]["feats"]
+    dhidden_pre = dlogits[:, None] * params.out_w * (hidden_pre > 0.0)
+    dz = dhidden_pre @ params.dense_w
+    dabs, dprod = dz[:, :n_filters], dz[:, n_filters:]
     sign = np.sign(fa - fb)
-    _conv_backward(params, cache["conv_a"], dabs * sign + dprod * fb, grads)
-    _conv_backward(params, cache["conv_b"], -dabs * sign + dprod * fa, grads)
+    dfeats = np.concatenate([dabs * sign + dprod * fb, -dabs * sign + dprod * fa])
+    dtop = dfeats * (top > 0.0)
+    dpre = np.zeros_like(pre)
+    dpre[np.arange(n_filters), starts[:, None] + best] = dtop
+    grads = {
+        "filters": np.stack([dpre @ part for part in shifted], axis=1),
+        "filter_bias": dtop.sum(axis=0),
+        "dense_w": dhidden_pre.T @ z,
+        "dense_b": dhidden_pre.sum(axis=0),
+        "out_w": dlogits @ hidden,
+        "out_b": float(dlogits.sum()),
+    }
     return loss, grads
 
 
@@ -188,18 +218,25 @@ def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
     """Mini-batch SGD on binary cross-entropy; deterministic for a seed.
 
     Attention-weighted inputs are precomputed once (the attention stage
-    has no trainable parameters).  Returns the trained parameters and the
-    mean training loss per epoch.
+    has no trainable parameters), and each batch passes its pairs' matrices
+    to ``loss_and_gradients``.  Returns the trained parameters and the mean
+    training loss per epoch.
     """
     if dataset.label_kind != BINARY:
         raise LabelKindError("CNN training requires a binary-labeled dataset")
-    inputs = [
-        weighted_pair_matrices(pair.a, pair.b, table, n_max) + (pair.label,)
-        for pair in dataset
-    ]
+    # Each pair keeps its own small matrices.  One (sum of lengths, d) matrix
+    # for the whole set would pass numpy's 4 MiB threshold for asking the
+    # kernel for huge pages, and the resident size of training would then
+    # vary with the kernel's huge-page supply from one run to the next.
+    inputs = [weighted_pair_matrices(pair.a, pair.b, table, n_max) for pair in dataset]
+    labels = np.array([pair.label for pair in dataset])
+
+    def batch_loss_and_grads(params, idx):
+        return loss_and_gradients(params, [inputs[i] for i in idx], labels[idx])
+
     params = init_params(table.dim, seed=config.seed)
-    return sgd(params, lambda p, i: loss_and_gradients(p, *inputs[i]), len(inputs),
-               config, np.random.default_rng(config.seed))
+    return sgd(params, batch_loss_and_grads, len(dataset), config,
+               np.random.default_rng(config.seed))
 
 
 def _param_items(params: CnnParams) -> list[tuple[str, np.ndarray]]:
@@ -248,7 +285,7 @@ def gradient_check(params: CnnParams, example: tuple[np.ndarray, np.ndarray, flo
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     mat_a, mat_b, label = example
-    _, analytic = loss_and_gradients(params, mat_a, mat_b, label)
+    _, analytic = loss_and_gradients(params, [(mat_a, mat_b)], [label])
     numeric = numeric_gradients(params, mat_a, mat_b, label, epsilon)
     return max_relative_error(analytic, numeric)
 

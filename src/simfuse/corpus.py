@@ -25,7 +25,7 @@ GRADED = "graded"
 ONE_IS_SIMILAR = "one_is_similar"
 ZERO_IS_SIMILAR = "zero_is_similar"
 
-_PUNCT = set(".,!?;:'\"()")
+_PUNCT = ".,!?;:'\"()"
 
 
 @dataclass(frozen=True)
@@ -119,17 +119,14 @@ def tokenize(raw: str) -> Sentence:
     """
     words: list[str] = []
     for chunk in raw.lower().split():
-        i, j = 0, len(chunk)
-        while i < j and chunk[i] in _PUNCT:
-            i += 1
-        while j > i and chunk[j - 1] in _PUNCT:
-            j -= 1
-        if i > 0:
-            words.append(chunk[:i])
-        if i < j:
-            words.append(chunk[i:j])
-        if j < len(chunk):
-            words.append(chunk[j:])
+        core = chunk.lstrip(_PUNCT)
+        word = core.rstrip(_PUNCT)
+        if len(core) < len(chunk):
+            words.append(chunk[: len(chunk) - len(core)])
+        if word:
+            words.append(word)
+        if len(word) < len(core):
+            words.append(core[len(word) :])
     return Sentence(tuple(words))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .embedding import format_row, parse_row
 from .errors import (ConfigError, DegenerateData, DimensionError, FormatError,
                      SimfuseError)
-from .nn import TrainConfig, bce_from_logit, sigmoid, sgd
+from .nn import TrainConfig, bce_loss_and_dlogits, sigmoid, sgd
 
 SIMILAR = "similar"
 DIFFERENT = "different"
@@ -97,18 +97,21 @@ def _net_forward(net: FusionNet, triple: np.ndarray) -> dict:
     return {"hidden_pre": hidden_pre, "hidden": hidden, "logit": logit}
 
 
-def _net_loss_and_grads(net: FusionNet, triple: np.ndarray,
-                        label: float) -> tuple[float, dict]:
-    cache = _net_forward(net, triple)
-    dlogit = sigmoid(cache["logit"]) - label
-    dhidden = dlogit * net.out_w * (cache["hidden_pre"] > 0.0)
+def _net_loss_and_grads(net: FusionNet, triples: np.ndarray,
+                        labels: np.ndarray) -> tuple[float, dict]:
+    """Cross-entropy summed over a (B, 3) batch of weighted triples, and its
+    gradients summed over the batch."""
+    hidden_pre = triples @ net.hidden_w.T + net.hidden_b
+    hidden = np.maximum(hidden_pre, 0.0)
+    loss, dlogits = bce_loss_and_dlogits(hidden @ net.out_w + net.out_b, labels)
+    dhidden = dlogits[:, None] * net.out_w * (hidden_pre > 0.0)
     grads = {
-        "hidden_w": np.outer(dhidden, triple),
-        "hidden_b": dhidden,
-        "out_w": dlogit * cache["hidden"],
-        "out_b": dlogit,
+        "hidden_w": dhidden.T @ triples,
+        "hidden_b": dhidden.sum(axis=0),
+        "out_w": dlogits @ hidden,
+        "out_b": float(dlogits.sum()),
     }
-    return bce_from_logit(cache["logit"], label), grads
+    return loss, grads
 
 
 def fuse(scores: tuple[float, float, float], weights: FusionWeights,
@@ -153,8 +156,9 @@ def train_fusion(triples: Sequence[tuple[float, float, float]],
         out_w=rng.uniform(-bound_out, bound_out, size=h),
         out_b=float(rng.uniform(-bound_out, bound_out, size=1)[0]),
     )
-    net, epoch_losses = sgd(net, lambda p, i: _net_loss_and_grads(p, inputs[i], target[i]),
-                            len(inputs), config, rng)
+    net, epoch_losses = sgd(
+        net, lambda p, idx: _net_loss_and_grads(p, inputs[idx], target[idx]),
+        len(inputs), config, rng)
     return FusionParams(mode=LEARNED, net=net), epoch_losses
 
 

@@ -1,6 +1,7 @@
 """Training machinery shared by the CNN scorer and the fusion combiner: the
 logistic function, binary cross-entropy on a logit, and one mini-batch SGD
-loop over frozen parameter dataclasses.
+loop over frozen parameter dataclasses whose gradients come one batch at a
+time.
 """
 
 from __future__ import annotations
@@ -39,26 +40,34 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def bce_from_logit(logit: float, label: float) -> float:
-    # softplus(logit) - label*logit, evaluated stably
-    softplus = max(logit, 0.0) + math.log1p(math.exp(-abs(logit)))
-    return softplus - label * logit
+def bce_from_logit(logit: float | np.ndarray, label: float | np.ndarray):
+    """Cross-entropy of a logit, or elementwise of arrays of logits and labels:
+    softplus(logit) - label * logit, evaluated stably."""
+    return np.maximum(logit, 0.0) + np.log1p(np.exp(-np.abs(logit))) - label * logit
 
 
-def sgd(params: P, loss_and_grads: Callable[[P, int], tuple[float, dict]], n: int,
-        config: TrainConfig, rng: np.random.Generator) -> tuple[P, list[float]]:
+def bce_loss_and_dlogits(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """A batch's summed cross-entropy and its derivative by each logit,
+    ``sigmoid(logit) - label``, both without overflow for any finite logit."""
+    e = np.exp(-np.abs(logits))
+    prob = np.where(logits >= 0.0, 1.0, e) / (1.0 + e)
+    return float(bce_from_logit(logits, labels).sum()), prob - labels
+
+
+def sgd(params: P, batch_loss_and_grads: Callable[[P, np.ndarray], tuple[float, dict]],
+        n: int, config: TrainConfig, rng: np.random.Generator) -> tuple[P, list[float]]:
     """Mini-batch SGD over examples ``0..n-1``, reshuffled by ``rng`` each epoch.
 
-    ``loss_and_grads(params, i)`` returns example i's loss and gradients
-    keyed by the names of the fields of the frozen dataclass ``params`` to
-    update; each batch replaces every such field ``p`` with
-    ``p - lr * (g * (1 / batch))``, ``g`` the gradient summed over the
-    batch.  Returns the final parameters and the mean loss per epoch.
-    Raises DegenerateData when an update leaves parameters that the
-    dataclass rejects (a ValueError from its constructor, such as
-    non-finite values after divergence).  Numpy's overflow and
-    invalid-value warnings are silenced during training, so that error
-    alone reports a diverging run.
+    ``batch_loss_and_grads(params, idx)`` is called once per batch with the
+    batch's example indices, in shuffled order, and returns the loss and the
+    gradients summed over those examples, keyed by the names of the fields
+    of the frozen dataclass ``params`` to update; each batch replaces every
+    such field ``p`` with ``p - lr * (g * (1 / batch))``.  Returns the final
+    parameters and the mean loss per epoch.  Raises DegenerateData when an
+    update leaves parameters that the dataclass rejects (a ValueError from
+    its constructor, such as non-finite values after divergence).  Numpy's
+    overflow and invalid-value warnings are silenced during training, so
+    that error alone reports a diverging run.
     """
     epoch_losses: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -67,15 +76,8 @@ def sgd(params: P, loss_and_grads: Callable[[P, int], tuple[float, dict]], n: in
             total = 0.0
             for start in range(0, n, config.batch_size):
                 batch = order[start : start + config.batch_size]
-                summed: dict = {}
-                for idx in batch:
-                    loss, grads = loss_and_grads(params, idx)
-                    total += loss
-                    if not summed:
-                        summed = grads
-                    else:
-                        for key in summed:
-                            summed[key] += grads[key]
+                loss, summed = batch_loss_and_grads(params, batch)
+                total += loss
                 scale = 1.0 / len(batch)
                 try:
                     params = replace(params, **{

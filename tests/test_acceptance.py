@@ -188,7 +188,7 @@ def test_criterion_3c_gradient_correctness():
 
     params = init_params(dim=3, n_filters=4, kernel_width=2, hidden=3, seed=7)
     a, b = random_matrix(4, 3), random_matrix(3, 3)
-    _, corrupted = loss_and_gradients(params, a, b, 1.0)
+    _, corrupted = loss_and_gradients(params, [(a, b)], [1.0])
     corrupted = dict(corrupted)
     corrupted["out_b"] = np.array([corrupted["out_b"]])
     corrupted["filters"] = corrupted["filters"] + 0.05

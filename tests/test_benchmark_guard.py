@@ -4,16 +4,21 @@ on, reports every metric it declares and passes its own checks.
 
 A library change can keep perfbench's own unit tests green and still break
 a full run, for instance by no longer calling a public function whose span
-a per-layer metric reads.  This test runs ``run.run`` itself, with the
-generator and the reference scorer called in-process.
+a per-layer metric reads.  The first test runs ``run.run`` itself, with
+the generator and the reference scorer called in-process; the second pins
+the one call training must keep making through its public name.
 """
 
 import gc
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+
+from simfuse import cnn
+from toy import separable_toy_set
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
@@ -50,3 +55,25 @@ def test_one_round_reports_every_metric_and_is_correct(name, trace, monkeypatch,
         gc.unfreeze()  # run.run freezes the objects alive at each round
     assert set(result["metrics"]) == set(workloads.PER_LAYER if trace else workloads.END_TO_END)
     assert result["correct"] is True
+
+
+def test_cnn_train_calls_the_public_loss_once_per_batch(monkeypatch):
+    """The traced benchmark reads ``cnn.loss_and_gradients.s`` and
+    ``.calls`` off a wrapper it puts at ``simfuse.cnn.loss_and_gradients``;
+    training must look the loss up there, once per mini-batch."""
+    calls = []
+    original = cnn.loss_and_gradients
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cnn, "loss_and_gradients", counting)
+    dataset, table = separable_toy_set(n_per_class=5, dim=4)
+    config = cnn.TrainConfig(epochs=3, batch_size=4)
+    cnn.cnn_train(dataset, table, config)
+    expected = config.epochs * math.ceil(len(dataset) / config.batch_size)
+    assert len(calls) == expected, (
+        f"cnn_train made {len(calls)} calls through simfuse.cnn.loss_and_gradients, "
+        f"not {expected}; perfbench's per-layer cnn.loss_and_gradients.s and "
+        f"cnn.loss_and_gradients.calls would not measure training")

@@ -1,15 +1,19 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simfuse.cnn import (CnnParams, TrainConfig, cnn_forward, cnn_train,
-                         gradient_check, init_params, load_cnn_params,
-                         loss_and_gradients, max_relative_error,
-                         numeric_gradients, save_cnn_params)
+from simfuse.attention import weighted_pair_matrices
+from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _forward,
+                         cnn_forward, cnn_train, gradient_check, init_params,
+                         load_cnn_params, loss_and_gradients,
+                         max_relative_error, numeric_gradients,
+                         save_cnn_params)
 from simfuse.corpus import GRADED, Dataset, Sentence
 from simfuse.embedding import EmbeddingTable, embed_sentence
 from simfuse.errors import ConfigError, LabelKindError
+from simfuse.nn import bce_from_logit, sgd, sigmoid
 
 from toy import separable_toy_set
 
@@ -20,6 +24,73 @@ def _matrix(rows):
 
 def _random_matrix(rng, n, dim):
     return _matrix(rng.standard_normal((n, dim)))
+
+
+def _oracle_conv_backward(params, conv, dfeats, grads):
+    n_filters = params.n_filters
+    dact = np.zeros_like(conv["pre"])
+    dact[conv["best"], np.arange(n_filters)] = dfeats
+    dpre = dact * (conv["pre"] > 0.0)
+    grads["filters"] += (dpre.T @ conv["windows"]).reshape(params.filters.shape)
+    grads["filter_bias"] += dpre.sum(axis=0)
+
+
+def oracle_loss_and_gradients(params, a, b, label):
+    """The per-pair loss and gradients, through the scoring path's forward
+    pass (``_forward``, one sentence at a time): the reference that the
+    batched ``loss_and_gradients`` is compared against."""
+    cache = _forward(params, a, b)
+    loss = bce_from_logit(cache["logit"], label)
+    dlogit = sigmoid(cache["logit"]) - label
+
+    dhidden = dlogit * params.out_w
+    dhidden_pre = dhidden * (cache["hidden_pre"] > 0.0)
+    dz = params.dense_w.T @ dhidden_pre
+    grads = {
+        "filters": np.zeros_like(params.filters),
+        "filter_bias": np.zeros_like(params.filter_bias),
+        "dense_w": np.outer(dhidden_pre, cache["z"]),
+        "dense_b": dhidden_pre,
+        "out_w": dlogit * cache["hidden"],
+        "out_b": dlogit,
+    }
+
+    n_filters = params.n_filters
+    dabs, dprod = dz[:n_filters], dz[n_filters:]
+    fa, fb = cache["conv_a"]["feats"], cache["conv_b"]["feats"]
+    sign = np.sign(fa - fb)
+    _oracle_conv_backward(params, cache["conv_a"], dabs * sign + dprod * fb, grads)
+    _oracle_conv_backward(params, cache["conv_b"], -dabs * sign + dprod * fa, grads)
+    return loss, grads
+
+
+def oracle_batch(params, pairs, labels):
+    """The oracle summed over a batch, pair after pair."""
+    total, summed = 0.0, None
+    for (a, b), label in zip(pairs, labels):
+        loss, grads = oracle_loss_and_gradients(params, a, b, label)
+        total += loss
+        summed = grads if summed is None else {k: summed[k] + grads[k] for k in summed}
+    return total, summed
+
+
+# Batched and per-pair gradients sum in different orders; each tensor must
+# agree within this share of its largest oracle entry.
+BATCH_RTOL = 1e-12
+
+
+def _assert_matches_oracle(params, pairs, labels):
+    loss, grads = loss_and_gradients(params, pairs, labels)
+    want_loss, want = oracle_batch(params, pairs, labels)
+    assert abs(loss - want_loss) <= BATCH_RTOL * abs(want_loss)
+    assert set(grads) == set(want)
+    for name, expected in want.items():
+        got = np.asarray(grads[name], dtype=np.float64)
+        expected = np.asarray(expected, dtype=np.float64)
+        assert got.shape == expected.shape, name
+        np.testing.assert_allclose(got, expected, rtol=0,
+                                   atol=BATCH_RTOL * np.max(np.abs(expected)), err_msg=name)
+    return grads
 
 
 @pytest.fixture()
@@ -120,7 +191,7 @@ class TestGradients:
         rng = np.random.default_rng(8)
         a = _random_matrix(rng, 4, 3)
         b = _random_matrix(rng, 3, 3)
-        _, analytic = loss_and_gradients(small_params, a, b, 1.0)
+        _, analytic = loss_and_gradients(small_params, [(a, b)], [1.0])
         analytic = dict(analytic)
         analytic["out_b"] = np.array([analytic["out_b"]])
         analytic["filters"] = analytic["filters"] + 0.05
@@ -132,6 +203,71 @@ class TestGradients:
         a = _random_matrix(rng, 2, 3)
         with pytest.raises(ValueError):
             gradient_check(small_params, (a, a, 1.0), epsilon=0.0)
+
+
+class TestBatchAgainstPerPairOracle:
+    def test_sentences_shorter_than_the_kernel(self):
+        params = init_params(dim=4, n_filters=5, kernel_width=3, hidden=4, seed=1)
+        rng = np.random.default_rng(20)
+        pairs = [(_random_matrix(rng, la, 4), _random_matrix(rng, lb, 4))
+                 for la, lb in [(1, 2), (2, 1), (1, 1), (3, 2), (2, 5)]]
+        _assert_matches_oracle(params, pairs, [1.0, 0.0, 1.0, 0.0, 1.0])
+
+    def test_mixed_lengths_up_to_n_max(self):
+        params = init_params(dim=6, seed=2)
+        rng = np.random.default_rng(21)
+        lengths = rng.integers(1, DEFAULT_N_MAX + 1, size=(16, 2))
+        lengths[0] = DEFAULT_N_MAX
+        pairs = [(_random_matrix(rng, la, 6), _random_matrix(rng, lb, 6))
+                 for la, lb in lengths]
+        _assert_matches_oracle(params, pairs, rng.integers(0, 2, size=16).astype(float))
+
+    def test_a_filter_dead_on_the_whole_batch_has_zero_features_and_gradients(self):
+        # every pre-activation of filter 1 is <= 0, so the max-pool's
+        # feature and every gradient that flows through it are exactly 0
+        base = init_params(dim=3, n_filters=4, kernel_width=2, hidden=6, seed=4)
+        params = replace(base, filter_bias=base.filter_bias - np.array([0.0, 1e3, 0.0, 0.0]))
+        rng = np.random.default_rng(22)
+        pairs = [(_random_matrix(rng, la, 3), _random_matrix(rng, lb, 3))
+                 for la, lb in [(1, 4), (5, 3), (2, 2), (6, 1)]]
+        grads = _assert_matches_oracle(params, pairs, [1.0, 0.0, 0.0, 1.0])
+        assert np.all(grads["filters"][1] == 0.0)
+        assert grads["filter_bias"][1] == 0.0
+        # z = (|fa - fb|, fa * fb): the dead filter's columns see zero inputs
+        assert np.all(grads["dense_w"][:, [1, 4 + 1]] == 0.0)
+        assert np.any(grads["filters"][[0, 2, 3]] != 0.0)
+
+    def test_every_batch_of_an_epoch_ending_with_a_partial_one(self):
+        dataset, table = separable_toy_set(n_per_class=5, dim=8)
+        inputs = [weighted_pair_matrices(p.a, p.b, table, DEFAULT_N_MAX) for p in dataset]
+        labels = [p.label for p in dataset]
+        params = init_params(table.dim, seed=5)
+        order = np.random.default_rng(5).permutation(len(inputs))
+        batches = [order[start : start + 4] for start in range(0, len(order), 4)]
+        assert [len(batch) for batch in batches] == [4, 4, 2]
+        for batch in batches:
+            _assert_matches_oracle(params, [inputs[i] for i in batch],
+                                   [labels[i] for i in batch])
+
+    def test_training_follows_the_oracle_driven_sgd(self):
+        # 10 pairs in batches of 4: the last batch of each epoch is partial
+        dataset, table = separable_toy_set(n_per_class=5, dim=8)
+        config = TrainConfig(learning_rate=0.2, epochs=4, batch_size=4, seed=6)
+        params, losses = cnn_train(dataset, table, config)
+
+        inputs = [weighted_pair_matrices(p.a, p.b, table, DEFAULT_N_MAX) for p in dataset]
+        labels = [p.label for p in dataset]
+        want, want_losses = sgd(
+            init_params(table.dim, seed=config.seed),
+            lambda p, idx: oracle_batch(p, [inputs[i] for i in idx], [labels[i] for i in idx]),
+            len(inputs), config, np.random.default_rng(config.seed))
+        np.testing.assert_allclose(losses, want_losses, rtol=BATCH_RTOL, atol=0)
+        for name in ("filters", "filter_bias", "dense_w", "dense_b", "out_w"):
+            expected = getattr(want, name)
+            np.testing.assert_allclose(getattr(params, name), expected, rtol=0,
+                                       atol=BATCH_RTOL * np.max(np.abs(expected)),
+                                       err_msg=name)
+        assert params.out_b == pytest.approx(want.out_b, rel=BATCH_RTOL, abs=0)
 
 
 class TestTrainConfig:

@@ -1,6 +1,7 @@
 import io
 import sys
 
+import numpy as np
 import pytest
 
 from simfuse.corpus import (BINARY, GRADED, ZERO_IS_SIMILAR, Dataset, Sentence,
@@ -39,6 +40,53 @@ class TestTokenize:
     def test_no_pos_or_roles(self):
         s = tokenize("a b")
         assert (s.roles, s.pos) == ((None, None), (None, None))
+
+
+def _loop_tokenize_words(raw):
+    """The per-character punctuation loops ``tokenize`` used to run: the
+    oracle for its ``lstrip``/``rstrip`` form."""
+    punct = set(".,!?;:'\"()")
+    words = []
+    for chunk in raw.lower().split():
+        i, j = 0, len(chunk)
+        while i < j and chunk[i] in punct:
+            i += 1
+        while j > i and chunk[j - 1] in punct:
+            j -= 1
+        if i > 0:
+            words.append(chunk[:i])
+        if i < j:
+            words.append(chunk[i:j])
+        if j < len(chunk):
+            words.append(chunk[j:])
+    return words
+
+
+class TestTokenizeOracle:
+    FIXED = ["...", "wait ...", "can't", "Can't stop!", '"(x)."', "(x).", "'", "(", ")",
+             "Ça va?", "(Straße).", "«Ελλάδα»!", "日本語。", "naïve... café,", "x'y'z"]
+    ALPHABET = list("aZé日ß ') (.,!?;:\"\t") + ["can't", "Σ"]
+
+    @staticmethod
+    def _assert_same(raw):
+        want = _loop_tokenize_words(raw)
+        if not want:
+            with pytest.raises(EmptySentence):
+                tokenize(raw)
+            return
+        got = tokenize(raw)
+        assert list(got.words) == want, raw
+        assert got == Sentence(tuple(want)), raw
+
+    @pytest.mark.parametrize("raw", FIXED)
+    def test_fixed_cases(self, raw):
+        self._assert_same(raw)
+
+    def test_random_strings_seeded(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            parts = rng.choice(self.ALPHABET, size=int(rng.integers(0, 14)))
+            self._assert_same("".join(parts))
 
 
 class TestParseAnnotated:

@@ -9,7 +9,7 @@ import pytest
 
 from simfuse.errors import DegenerateData
 from simfuse.fusion import FusionWeights, train_fusion
-from simfuse.nn import TrainConfig, bce_from_logit, sgd, sigmoid
+from simfuse.nn import TrainConfig, bce_from_logit, bce_loss_and_dlogits, sgd, sigmoid
 
 
 class TestSigmoidAndLoss:
@@ -30,6 +30,15 @@ class TestSigmoidAndLoss:
         assert bce_from_logit(-800.0, 1.0) == 800.0
         assert bce_from_logit(800.0, 1.0) == 0.0
 
+    def test_batch_loss_is_the_summed_loss_and_its_derivative_sigmoid_minus_label(self):
+        logits = np.array([-800.0, -5.0, -0.3, 0.0, 0.7, 4.0, 800.0])
+        labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+        loss, dlogits = bce_loss_and_dlogits(logits, labels)
+        assert loss == pytest.approx(sum(bce_from_logit(x, y) for x, y in zip(logits, labels)),
+                                     rel=1e-15)
+        expected = [sigmoid(float(x)) - y for x, y in zip(logits, labels)]
+        np.testing.assert_allclose(dlogits, expected, rtol=1e-15, atol=1e-300)
+
 
 @dataclass(frozen=True)
 class Quadratic:
@@ -45,12 +54,16 @@ class Bounded(Quadratic):
             raise ValueError("b out of range")
 
 
-def _quadratic_loss(targets):
-    """Loss (w - t)^2 summed, plus b^2, per example; gradients for w and b only."""
-    def loss_and_grads(params, i):
-        diff = params.w - targets[i]
-        return float(diff @ diff + params.b ** 2), {"w": 2.0 * diff, "b": 2.0 * params.b}
-    return loss_and_grads
+def _quadratic_loss(targets, calls=None):
+    """Loss (w - t)^2 summed, plus b^2, per example, summed over the batch
+    ``idx``; gradients for w and b only.  Records each ``idx`` in ``calls``."""
+    def batch_loss_and_grads(params, idx):
+        if calls is not None:
+            calls.append(list(idx))
+        diff = params.w - targets[idx]
+        loss = float((diff * diff).sum() + len(idx) * params.b ** 2)
+        return loss, {"w": 2.0 * diff.sum(axis=0), "b": 2.0 * len(idx) * params.b}
+    return batch_loss_and_grads
 
 
 class TestSgd:
@@ -58,19 +71,19 @@ class TestSgd:
         targets = np.array([[1.0, -2.0], [0.5, 0.25], [3.0, 1.0]])
         start = Quadratic(w=np.array([0.1, 0.2]), b=0.3)
         config = TrainConfig(learning_rate=0.1, epochs=1, batch_size=2, seed=0)
-        got, losses = sgd(start, _quadratic_loss(targets), 3, config,
+        calls = []
+        got, losses = sgd(start, _quadratic_loss(targets, calls), 3, config,
                           np.random.default_rng(4))
 
         order = np.random.default_rng(4).permutation(3)
+        batches = [order[:2], order[2:]]
+        assert calls == [list(batch) for batch in batches]
         w, b, total = start.w, start.b, 0.0
-        for batch in (order[:2], order[2:]):
-            gw, gb = np.zeros(2), 0.0
-            for i in batch:
-                diff = w - targets[i]
-                total += float(diff @ diff + b ** 2)
-                gw, gb = gw + 2.0 * diff, gb + 2.0 * b
+        for batch in batches:
+            loss, grads = _quadratic_loss(targets)(Quadratic(w=w, b=b), batch)
+            total += loss
             scale = 1.0 / len(batch)
-            w, b = w - 0.1 * (gw * scale), b - 0.1 * (gb * scale)
+            w, b = w - 0.1 * (grads["w"] * scale), b - 0.1 * (grads["b"] * scale)
         assert np.array_equal(got.w, w) and got.b == b
         assert got.untouched == 5.0
         assert losses == [total / 3]
@@ -141,7 +154,9 @@ def _reference_combiner(inputs, target, config):
 
 def test_combiner_training_equals_the_hand_written_loop_on_full_batches():
     # Batches of 16 divide 48 pairs, and 1/16 is exact, so the shared loop's
-    # lr * (g * (1/16)) equals the hand-written (lr/16) * g bit for bit.
+    # lr * (g * (1/16)) equals the hand-written (lr/16) * g.  The combiner sums
+    # a batch by matmuls and the loop example by example, so the two agree to
+    # rounding only: within 1e-12 relative.
     rng = np.random.default_rng(3)
     triples = [tuple(row) for row in rng.uniform(0.0, 1.0, size=(48, 3))]
     labels = [float(i % 2) for i in range(48)]
@@ -152,8 +167,8 @@ def test_combiner_training_equals_the_hand_written_loop_on_full_batches():
     (hidden_w, hidden_b, out_w, out_b), ref_losses = _reference_combiner(
         inputs, np.asarray(labels), config)
     net = params.net
-    assert np.array_equal(net.hidden_w, hidden_w)
-    assert np.array_equal(net.hidden_b, hidden_b)
-    assert np.array_equal(net.out_w, out_w)
-    assert net.out_b == out_b
-    assert losses == ref_losses
+    np.testing.assert_allclose(net.hidden_w, hidden_w, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(net.hidden_b, hidden_b, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(net.out_w, out_w, rtol=1e-12, atol=0)
+    assert net.out_b == pytest.approx(out_b, rel=1e-12, abs=0)
+    np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
