@@ -31,7 +31,6 @@ from .metrics import (MetricReport, confusion_counts, prf_metrics,
 from .nn import TrainConfig
 from .pipeline import (ModelBundle, PairScores, component_scores, evaluate,
                        load_bundle, save_bundle, score_with_bundle, train_bundle)
-from .tfidf import (CorpusStats, build_stats, cosine_sim, idf, term_frequency,
-                    tfidf_vector)
+from .tfidf import CorpusStats, build_stats, cosine_sim, idf, tfidf_vector
 
 __version__ = "0.1.0"

@@ -26,13 +26,16 @@ def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"embedding dims differ: {a.shape[1]} vs {b.shape[1]}")
     # overflow on huge rows yields inf/nan entries, which fuse() and the
-    # training loop reject with an error
+    # training loop reject with an error.  The norms are np.linalg.norm's
+    # own arithmetic (the root of the summed squares) without its call
+    # overhead, and the broadcast product is np.outer's: the grid is bitwise
+    # what those calls give.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norms_a = np.linalg.norm(a, axis=1)
-        norms_b = np.linalg.norm(b, axis=1)
-        grid = a @ b.T
-        denom = np.outer(norms_a, norms_b)
-        return np.where(denom > 0.0, grid / np.where(denom > 0.0, denom, 1.0), 0.0)
+        norms_a = np.sqrt(np.add.reduce(a * a, axis=1))
+        norms_b = np.sqrt(np.add.reduce(b * b, axis=1))
+        denom = norms_a[:, np.newaxis] * norms_b
+        nonzero = denom > 0.0
+        return np.where(nonzero, (a @ b.T) / np.where(nonzero, denom, 1.0), 0.0)
 
 
 def marginal_sums(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,18 +75,19 @@ def position_weights(a: Sentence, b: Sentence) -> tuple[np.ndarray, np.ndarray]:
     pos_row = np.zeros(n, dtype=np.float64)
     pos_col = np.zeros(m, dtype=np.float64)
     scale = min(n, m)
+    # a word mirrored onto itself is at distance 0, which the zeros hold
     for word in set(surfaces_a) & set(surfaces_b):
         p = surfaces_a.index(word)
-        if p < m:
+        if p < m and surfaces_b[p] != word:
             pos_row[p] = 2.0 * edit_distance(word, surfaces_b[p]) / scale
         q = surfaces_b.index(word)
-        if q < n:
+        if q < n and surfaces_a[q] != word:
             pos_col[q] = 2.0 * edit_distance(word, surfaces_a[q]) / scale
     return pos_row, pos_col
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - np.max(x)
+    shifted = x - x.max()
     e = np.exp(shifted)
     return e / e.sum()
 

@@ -10,11 +10,14 @@ numpy; gradients are implemented by hand and verifiable against central
 differences.  The loss, the logistic output and the SGD loop come from
 ``nn.py``.
 
-Scoring runs one pair at a time (``cnn_forward``).  Training runs one
-mini-batch at a time: ``cnn_train`` computes every training pair's
-attention-weighted matrices once, and ``loss_and_gradients`` stacks a
-batch's sentences into one token-row matrix, convolves all their windows
-at once and max-pools each sentence over its own windows.
+Scoring runs one pair at a time: ``cnn_forward`` convolves each sentence's
+windows with one matmul and max-pools before the ReLU, which picks the
+same value as pooling after it, and keeps no intermediate values; the
+numeric gradients run the same forward pass.  Training runs one mini-batch
+at a time: ``cnn_train`` computes every training pair's attention-weighted
+matrices once, and ``loss_and_gradients`` stacks a batch's sentences into
+one token-row matrix, convolves all their windows at once and max-pools
+each sentence over its own windows.
 """
 
 from __future__ import annotations
@@ -122,33 +125,20 @@ def _windows(rows: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([rows[i : i + p] for i in range(k)], axis=1)
 
 
-def _conv_forward(params: CnnParams, matrix: np.ndarray) -> dict:
-    windows = _windows(matrix, params.kernel_width)
-    flat_filters = params.filters.reshape(params.n_filters, -1)
-    pre = windows @ flat_filters.T + params.filter_bias  # (P, F)
-    act = np.maximum(pre, 0.0)
-    best = act.argmax(axis=0)
-    feats = act[best, np.arange(params.n_filters)]
-    return {"windows": windows, "pre": pre, "best": best, "feats": feats}
-
-
-def _forward(params: CnnParams, a: np.ndarray, b: np.ndarray) -> dict:
-    conv_a = _conv_forward(params, a)
-    conv_b = _conv_forward(params, b)
-    fa, fb = conv_a["feats"], conv_b["feats"]
+def _logit(params: CnnParams, a: np.ndarray, b: np.ndarray) -> float:
+    # each sentence's features: max-pooling before the ReLU picks the same
+    # value as pooling after it
+    k, flat_filters = params.kernel_width, params.filters.reshape(len(params.filters), -1).T
+    fa = np.maximum((_windows(a, k) @ flat_filters + params.filter_bias).max(axis=0), 0.0)
+    fb = np.maximum((_windows(b, k) @ flat_filters + params.filter_bias).max(axis=0), 0.0)
     z = np.concatenate([np.abs(fa - fb), fa * fb])
-    hidden_pre = params.dense_w @ z + params.dense_b
-    hidden = np.maximum(hidden_pre, 0.0)
-    logit = float(params.out_w @ hidden + params.out_b)
-    return {
-        "conv_a": conv_a, "conv_b": conv_b, "z": z,
-        "hidden_pre": hidden_pre, "hidden": hidden, "logit": logit,
-    }
+    hidden = np.maximum(params.dense_w @ z + params.dense_b, 0.0)
+    return float(params.out_w @ hidden + params.out_b)
 
 
 def cnn_forward(params: CnnParams, a: np.ndarray, b: np.ndarray) -> float:
     """Similarity score in (0, 1); exactly symmetric in its two inputs."""
-    return sigmoid(_forward(params, a, b)["logit"])
+    return sigmoid(_logit(params, a, b))
 
 
 def loss_and_gradients(params: CnnParams, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
@@ -259,11 +249,9 @@ def numeric_gradients(params: CnnParams, a: np.ndarray, b: np.ndarray,
         for i in range(flat.size):
             bumped = tensor.copy()
             bumped.ravel()[i] = flat[i] + epsilon
-            loss_hi = bce_from_logit(
-                _forward(_with_tensor(params, name, bumped), a, b)["logit"], label)
+            loss_hi = bce_from_logit(_logit(_with_tensor(params, name, bumped), a, b), label)
             bumped.ravel()[i] = flat[i] - epsilon
-            loss_lo = bce_from_logit(
-                _forward(_with_tensor(params, name, bumped), a, b)["logit"], label)
+            loss_lo = bce_from_logit(_logit(_with_tensor(params, name, bumped), a, b), label)
             grad.ravel()[i] = (loss_hi - loss_lo) / (2.0 * epsilon)
         grads[name] = grad
     return grads

@@ -281,8 +281,4 @@ def embed_sentence(table: EmbeddingTable, s: Sentence, n_max: int) -> np.ndarray
     """The (L, dim) matrix of the sentence's token vectors, L = min(len(s), n_max)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    length = min(len(s), n_max)
-    rows = np.empty((length, table.dim), dtype=np.float64)
-    for i in range(length):
-        rows[i] = lookup(table, s.words[i])
-    return rows
+    return np.array([lookup(table, word) for word in s.words[:n_max]], dtype=np.float64)

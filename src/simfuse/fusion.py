@@ -90,11 +90,9 @@ def calibrate_weights(metric_jaccard: float, metric_w2vcnn: float,
     return FusionWeights(alpha=float(alpha), beta=float(beta), gamma=float(gamma))
 
 
-def _net_forward(net: FusionNet, triple: np.ndarray) -> dict:
-    hidden_pre = net.hidden_w @ triple + net.hidden_b
-    hidden = np.maximum(hidden_pre, 0.0)
-    logit = float(net.out_w @ hidden + net.out_b)
-    return {"hidden_pre": hidden_pre, "hidden": hidden, "logit": logit}
+def _net_logit(net: FusionNet, triple: np.ndarray) -> float:
+    hidden = np.maximum(net.hidden_w @ triple + net.hidden_b, 0.0)
+    return float(net.out_w @ hidden + net.out_b)
 
 
 def _net_loss_and_grads(net: FusionNet, triples: np.ndarray,
@@ -120,16 +118,17 @@ def fuse(scores: tuple[float, float, float], weights: FusionWeights,
 
     Raises SimfuseError naming each non-finite component score.
     """
-    values = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(values).all():
-        bad = ", ".join(f"{name}={value}" for name, value in zip(_COMPONENTS, values)
+    j, c, t = scores
+    if not (math.isfinite(j) and math.isfinite(c) and math.isfinite(t)):
+        bad = ", ".join(f"{name}={value}" for name, value in zip(_COMPONENTS, scores)
                         if not math.isfinite(value))
         raise SimfuseError(f"non-finite component score: {bad}")
-    weighted = weights.as_array() * values
+    weighted = (weights.alpha * j, weights.beta * c, weights.gamma * t)
     if params.mode == WEIGHTED_SUM:
-        # the weight triple can sum to 1 +- 1 ulp; keep the contract exact
-        return float(min(1.0, weighted.sum()))
-    return sigmoid(_net_forward(params.net, weighted)["logit"])
+        # left to right, as numpy sums three values; the weight triple can
+        # sum to 1 +- 1 ulp, so keep the contract exact
+        return float(min(1.0, weighted[0] + weighted[1] + weighted[2]))
+    return sigmoid(_net_logit(params.net, np.array(weighted)))
 
 
 def train_fusion(triples: Sequence[tuple[float, float, float]],

@@ -26,7 +26,8 @@ from . import attention, cnn, fusion, jaccard, metrics, tfidf
 from .corpus import BINARY, Dataset, LabeledPair
 from .embedding import (EmbeddingTable, load_npy_table, load_text_embeddings,
                         load_vocab, parse_int, save_npy_table, save_vocab)
-from .errors import DimensionError, EmptyEval, FormatError, SimfuseError
+from .errors import (ConfigError, DegenerateData, DimensionError, EmptyEval, FormatError,
+                     SimfuseError)
 from .nn import TrainConfig
 
 CALIBRATION_FACTORS = ("accuracy", "precision", "recall", "f1")
@@ -55,6 +56,8 @@ class ModelBundle:
     n_max: int = cnn.DEFAULT_N_MAX
 
     def __post_init__(self):
+        if self.n_max < 1:
+            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
         if self.cnn_params.dim != self.table.dim:
             raise DimensionError(f"CNN filters of dimension {self.cnn_params.dim} do not "
                                  f"match the embedding table's dimension {self.table.dim}")
@@ -137,12 +140,17 @@ def train_bundle(dataset: Dataset, table: EmbeddingTable, config: TrainConfig, *
     weights; in ``learned`` mode the combiner is then fit on the weighted
     score triples.  Returns the bundle and the mean loss per epoch of the
     CNN and of the combiner (empty in ``weighted_sum`` mode).  Deterministic
-    for a seed.  An unknown ``factor`` (ValueError) or ``fusion_mode``
-    (ConfigError) fails before any training.
+    for a seed.  An unknown ``factor`` (ValueError), an ``n_max`` below 1 or
+    an unknown ``fusion_mode`` (ConfigError), and a single label class in
+    ``learned`` mode (DegenerateData) fail before any training.
     """
     _check_factor(factor)
+    if n_max < 1:
+        raise ConfigError(f"n_max must be >= 1, got {n_max}")
     if fusion_mode != fusion.LEARNED:
         fusion_params, fusion_losses = fusion.FusionParams(mode=fusion_mode), []
+    elif len({pair.label for pair in dataset}) < 2:
+        raise DegenerateData("fusion training needs both label classes")
     stats = tfidf.build_stats(dataset)
     cnn_params, cnn_losses = cnn.cnn_train(dataset, table, config, n_max=n_max)
     triples = [component_scores(pair, stats, table, cnn_params, n_max) for pair in dataset]

@@ -7,9 +7,8 @@ corpus that contain the term.
 
 A TF-IDF vector is a plain ``dict`` of term -> positive weight, in sorted
 term order.  ``tfidf_vector`` counts the pair's terms once, with one
-``Counter``, rather than calling the per-term ``term_frequency`` (kept as
-the reference it must equal bitwise), and ``idf`` reads a table that
-``CorpusStats`` builds with the statistics.
+``Counter``, and ``idf`` reads a table that ``CorpusStats`` builds with the
+statistics.
 """
 
 from __future__ import annotations
@@ -65,15 +64,6 @@ def build_stats(dataset: Dataset) -> CorpusStats:
     return CorpusStats(total_pairs=len(dataset), pair_doc_freq=freq)
 
 
-def term_frequency(term: str, pair: LabeledPair) -> float:
-    """Occurrences of ``term`` across both sentences, over the size of
-    the union of the two surface sets.  May exceed 1 for repeated terms.
-    """
-    occurrences = pair.a.words.count(term) + pair.b.words.count(term)
-    union = set(pair.a.words) | set(pair.b.words)
-    return occurrences / len(union)
-
-
 def _idf_value(total_pairs: int, doc_freq: int) -> float:
     return max(0.0, math.log(total_pairs / (1 + doc_freq)))
 
@@ -92,19 +82,21 @@ def idf(term: str, stats: CorpusStats) -> float:
 def tfidf_vector(s: Sentence, pair: LabeledPair, stats: CorpusStats) -> dict[str, float]:
     """TF-IDF weights for the distinct surfaces of ``s`` within ``pair``.
 
-    One ``Counter`` over both sentences gives every term's occurrences and,
-    as its length, the size of the union, so each weight is bitwise
-    ``term_frequency(term, pair) * idf(term, stats)``: the same integer over
-    the same divisor, times the same idf.  Zero weights are left out, and
-    terms are stored in sorted order so later float summations are
-    independent of the process's string-hash seed.
+    A term's weight is its occurrences across both sentences, over the size
+    of the union of their surface sets (so it may exceed 1 for repeated
+    terms), times ``idf(term, stats)``.  One ``Counter`` over both sentences
+    gives every term's occurrences and, as its length, the size of the
+    union.  Zero weights are left out, and terms are stored in sorted order
+    so later float summations are independent of the process's string-hash
+    seed.
     """
-    counts = Counter(pair.a.words)
-    counts.update(pair.b.words)
+    counts = Counter(pair.a.words + pair.b.words)
     n_union = len(counts)
+    # idf() read off its table once per call
+    table, unseen = stats._idf_table, stats._unseen_idf
     weights = {}
     for term in sorted(set(s.words)):
-        w = counts[term] / n_union * idf(term, stats)
+        w = counts[term] / n_union * table.get(term, unseen)
         if w > 0.0:
             weights[term] = w
     return weights

@@ -1,6 +1,7 @@
 """The benchmark in ``perfbench/`` still runs against the library: each
 workload, shrunk to a few pairs, completes one round with tracing off and
-on, reports every metric it declares and passes its own checks.
+on, reports every metric it declares and passes its own checks; without
+tracing, every pair's scores also equal the reference scorer's bitwise.
 
 A library change can keep perfbench's own unit tests green and still break
 a full run, for instance by no longer calling a public function whose span
@@ -50,11 +51,15 @@ def test_one_round_reports_every_metric_and_is_correct(name, trace, monkeypatch,
     monkeypatch.setattr(run, "_child", child)
     monkeypatch.setattr(run, "WORK_DIR", tmp_path)
     try:
-        result, _ = run.run(wl, 1, 1e-3, trace)
+        result, summary = run.run(wl, 1, 1e-3, trace)
     finally:
         gc.unfreeze()  # run.run freezes the objects alive at each round
     assert set(result["metrics"]) == set(workloads.PER_LAYER if trace else workloads.END_TO_END)
     assert result["correct"] is True
+    if not trace:
+        # every scored pair equals the frozen reference scorer's, bit for bit
+        assert summary["checked_pairs"] > 0
+        assert summary["bitwise_equal_pairs"] == summary["checked_pairs"]
 
 
 def test_cnn_train_calls_the_public_loss_once_per_batch(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from simfuse.attention import weighted_pair_matrices
-from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _forward,
+from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _windows,
                          cnn_forward, cnn_train, gradient_check, init_params,
                          load_cnn_params, loss_and_gradients,
                          max_relative_error, numeric_gradients,
@@ -26,6 +26,32 @@ def _random_matrix(rng, n, dim):
     return _matrix(rng.standard_normal((n, dim)))
 
 
+def _conv_forward(params, matrix):
+    """One sentence's convolution, ReLU, and max-pool as an argmax gather,
+    with every intermediate kept: the reference forward pass."""
+    windows = _windows(matrix, params.kernel_width)
+    flat_filters = params.filters.reshape(params.n_filters, -1)
+    pre = windows @ flat_filters.T + params.filter_bias  # (P, F)
+    act = np.maximum(pre, 0.0)
+    best = act.argmax(axis=0)
+    feats = act[best, np.arange(params.n_filters)]
+    return {"windows": windows, "pre": pre, "best": best, "feats": feats}
+
+
+def _forward(params, a, b):
+    conv_a = _conv_forward(params, a)
+    conv_b = _conv_forward(params, b)
+    fa, fb = conv_a["feats"], conv_b["feats"]
+    z = np.concatenate([np.abs(fa - fb), fa * fb])
+    hidden_pre = params.dense_w @ z + params.dense_b
+    hidden = np.maximum(hidden_pre, 0.0)
+    logit = float(params.out_w @ hidden + params.out_b)
+    return {
+        "conv_a": conv_a, "conv_b": conv_b, "z": z,
+        "hidden_pre": hidden_pre, "hidden": hidden, "logit": logit,
+    }
+
+
 def _oracle_conv_backward(params, conv, dfeats, grads):
     n_filters = params.n_filters
     dact = np.zeros_like(conv["pre"])
@@ -36,9 +62,9 @@ def _oracle_conv_backward(params, conv, dfeats, grads):
 
 
 def oracle_loss_and_gradients(params, a, b, label):
-    """The per-pair loss and gradients, through the scoring path's forward
-    pass (``_forward``, one sentence at a time): the reference that the
-    batched ``loss_and_gradients`` is compared against."""
+    """The per-pair loss and gradients, through the reference forward pass
+    (``_forward``, one sentence at a time): the reference that the batched
+    ``loss_and_gradients`` is compared against."""
     cache = _forward(params, a, b)
     loss = bce_from_logit(cache["logit"], label)
     dlogit = sigmoid(cache["logit"]) - label
@@ -139,7 +165,6 @@ class TestForward:
         assert 0.0 < s < 1.0
 
     def test_permutation_changes_conv_features(self, small_params):
-        from simfuse.cnn import _conv_forward
         rng = np.random.default_rng(6)
         rows = rng.standard_normal((4, 3))
         feats = _conv_forward(small_params, _matrix(rows))["feats"]
@@ -158,9 +183,60 @@ class TestForward:
         assert original != swapped
 
 
+class TestForwardAgainstGatherOracle:
+    """cnn_forward max-pools before the ReLU and keeps no cache; its score
+    must equal, bitwise, the sigmoid of the reference forward pass, which
+    applies the ReLU first and gathers each filter's argmax window."""
+
+    @staticmethod
+    def _assert_bitwise(params, a, b):
+        assert cnn_forward(params, a, b) == sigmoid(_forward(params, a, b)["logit"])
+
+    def test_random_pairs_of_every_length(self):
+        params = init_params(dim=6, n_filters=8, kernel_width=3, hidden=5, seed=11)
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            la, lb = (int(x) for x in rng.integers(1, DEFAULT_N_MAX + 1, size=2))
+            self._assert_bitwise(params, _random_matrix(rng, la, 6), _random_matrix(rng, lb, 6))
+
+    def test_sentences_shorter_than_the_kernel(self):
+        params = init_params(dim=4, n_filters=5, kernel_width=3, hidden=4, seed=12)
+        rng = np.random.default_rng(31)
+        for la, lb in [(1, 1), (1, 2), (2, 2), (2, 7), (3, 1)]:
+            self._assert_bitwise(params, _random_matrix(rng, la, 4), _random_matrix(rng, lb, 4))
+
+    def test_trained_scorer_on_attention_weighted_pairs(self):
+        # repeated words, all-OOV sentences and sentences longer than n_max
+        dataset, table = separable_toy_set(n_per_class=5, dim=8)
+        params, _ = cnn_train(dataset, table, TrainConfig(epochs=3, seed=13))
+        pairs = [(p.a, p.b) for p in dataset] + [
+            (Sentence(["w", "w", "w", "v"]), Sentence(["v", "w", "v"])),
+            (Sentence(["oov1", "oov2"]), Sentence(["oov2", "oov3", "oov4"])),
+            (Sentence([f"t{i % 7}" for i in range(50)]), Sentence(["t1", "t2"])),
+        ]
+        for a, b in pairs:
+            for n_max in (2, DEFAULT_N_MAX):
+                self._assert_bitwise(params, *weighted_pair_matrices(a, b, table, n_max))
+
+    def test_a_filter_whose_pre_activations_are_all_nonpositive(self):
+        base = init_params(dim=3, n_filters=4, kernel_width=2, hidden=6, seed=14)
+        params = replace(base, filter_bias=base.filter_bias - np.array([0.0, 1e3, 0.0, 0.0]))
+        rng = np.random.default_rng(32)
+        for la, lb in [(1, 4), (5, 3), (2, 2), (9, 1)]:
+            a, b = _random_matrix(rng, la, 3), _random_matrix(rng, lb, 3)
+            assert np.all(_conv_forward(params, a)["pre"][:, 1] <= 0.0)
+            self._assert_bitwise(params, a, b)
+
+    def test_zero_rows(self):
+        params = init_params(dim=3, n_filters=4, kernel_width=2, hidden=3, seed=15)
+        rng = np.random.default_rng(33)
+        zeros = np.zeros((4, 3))
+        self._assert_bitwise(params, zeros, _random_matrix(rng, 3, 3))
+        self._assert_bitwise(params, zeros, zeros[:1])
+
+
 class TestWindows:
     def test_matches_row_loop(self):
-        from simfuse.cnn import _windows
         rng = np.random.default_rng(12)
         for _ in range(200):
             length, dim, k = (int(x) for x in rng.integers(1, 9, size=3))

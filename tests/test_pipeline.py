@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from simfuse import cnn, tfidf
 from simfuse.cnn import DEFAULT_N_MAX, TrainConfig, cnn_train, init_params
 from simfuse.corpus import BINARY, GRADED, Dataset, LabeledPair, Sentence
-from simfuse.errors import ConfigError, EmptyCorpus, EmptyEval, LabelKindError
-from simfuse.fusion import SIMILAR, WEIGHTED_SUM, FusionParams, calibrate_weights
+from simfuse.errors import ConfigError, DegenerateData, EmptyCorpus, EmptyEval, LabelKindError
+from simfuse.fusion import LEARNED, SIMILAR, WEIGHTED_SUM, FusionParams, calibrate_weights
 from simfuse.pipeline import (ModelBundle, component_scores, evaluate,
                               load_bundle, save_bundle, score_with_bundle,
                               train_bundle, weights_from_scores)
@@ -149,6 +151,30 @@ class TestCalibrate:
         with pytest.raises(ConfigError, match="^unknown fusion mode 'vibes'$"):
             _train_bundle(dataset, bundle.table, fusion_mode="vibes")
 
+    def test_rejects_n_max_below_one_before_training(self, small_bundle, monkeypatch):
+        dataset, bundle = small_bundle
+        _forbid_training(monkeypatch)
+        with pytest.raises(ConfigError, match="^n_max must be >= 1, got 0$"):
+            train_bundle(dataset, bundle.table, TrainConfig(epochs=3, seed=11), n_max=0,
+                         fusion_mode=WEIGHTED_SUM, factor="accuracy")
+
+    def test_learned_mode_rejects_one_label_class_before_cnn_training(self, small_bundle,
+                                                                      monkeypatch):
+        dataset, bundle = small_bundle
+        positives = _positives(dataset)
+        calls = []
+        monkeypatch.setattr(cnn, "cnn_train", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(DegenerateData, match="both label classes"):
+            _train_bundle(positives, bundle.table, fusion_mode=LEARNED)
+        assert calls == []
+
+    def test_weighted_sum_mode_trains_on_one_label_class(self, small_bundle):
+        dataset, bundle = small_bundle
+        positives = _positives(dataset)
+        trained, cnn_losses, fusion_losses = _train_bundle(positives, bundle.table)
+        assert trained.fusion_params.mode == WEIGHTED_SUM
+        assert len(cnn_losses) == 3 and fusion_losses == []
+
     def test_rejects_graded(self, small_bundle):
         dataset, bundle = small_bundle
         graded = Dataset(pairs=dataset.pairs, label_kind=GRADED)
@@ -167,6 +193,11 @@ def _train_bundle(dataset, table, factor="accuracy", fusion_mode=WEIGHTED_SUM):
                         fusion_mode=fusion_mode, factor=factor)
 
 
+def _positives(dataset):
+    """The similar pairs alone: a dataset with one label class."""
+    return Dataset(pairs=tuple(p for p in dataset if p.label == 1.0), label_kind=BINARY)
+
+
 def _forbid_training(monkeypatch):
     """Make building the TF-IDF statistics or any CNN epoch fail the test."""
     def forbidden(*args, **kwargs):
@@ -176,6 +207,12 @@ def _forbid_training(monkeypatch):
 
 
 class TestBundleIO:
+    def test_bundle_rejects_n_max_below_one(self, small_bundle):
+        _, bundle = small_bundle
+        for n_max in (0, -3):
+            with pytest.raises(ConfigError, match=f"^n_max must be >= 1, got {n_max}$"):
+                replace(bundle, n_max=n_max)
+
     def test_round_trip_preserves_scores(self, small_bundle, tmp_path):
         dataset, bundle = small_bundle
         save_bundle(bundle, tmp_path / "model")

@@ -5,13 +5,21 @@ import pytest
 
 from simfuse.corpus import BINARY, Dataset, LabeledPair, Sentence
 from simfuse.errors import EmptyCorpus
-from simfuse.tfidf import (CorpusStats, build_stats, cosine_sim, idf, term_frequency,
-                           tfidf_vector)
+from simfuse.tfidf import CorpusStats, build_stats, cosine_sim, idf, tfidf_vector
 
 
 def _pair(pid, a, b, label=1.0):
     return LabeledPair(id=pid, a=Sentence(a),
                        b=Sentence(b), label=label)
+
+
+def term_frequency(term, pair):
+    """Occurrences of ``term`` across both sentences, over the size of the
+    union of the two surface sets: the per-term reference that
+    ``tfidf_vector``'s pair-wide count must equal bitwise."""
+    occurrences = pair.a.words.count(term) + pair.b.words.count(term)
+    union = set(pair.a.words) | set(pair.b.words)
+    return occurrences / len(union)
 
 
 @pytest.fixture()
@@ -46,17 +54,27 @@ class TestBuildStats:
 
 
 class TestTermFrequency:
+    """The reference term frequency, and the weights tfidf_vector builds on
+    it (with no document frequencies, every term has idf log 4)."""
+
+    @staticmethod
+    def _stats():
+        return CorpusStats(total_pairs=4, pair_doc_freq={})
+
     def test_shared_term(self):
         pair = _pair("1", ["a", "b", "c"], ["a", "b", "d"])
         assert term_frequency("a", pair) == 0.5  # 2 occurrences / union of 4
+        assert tfidf_vector(pair.a, pair, self._stats())["a"] == 0.5 * math.log(4 / 1)
 
     def test_absent_term(self):
         pair = _pair("1", ["a", "b", "c"], ["a", "b", "d"])
         assert term_frequency("zzz", pair) == 0.0
+        assert "zzz" not in tfidf_vector(pair.a, pair, self._stats())
 
     def test_can_exceed_one(self):
         pair = _pair("1", ["x"], ["x"])
         assert term_frequency("x", pair) == 2.0
+        assert tfidf_vector(pair.a, pair, self._stats()) == {"x": 2.0 * math.log(4 / 1)}
 
 
 class TestIdf:
