@@ -17,7 +17,7 @@ numeric gradients run the same forward pass.  Training runs one mini-batch
 at a time: ``cnn_train`` computes every training pair's attention-weighted
 matrices once, and ``loss_and_gradients`` stacks a batch's sentences into
 one token-row matrix, convolves all their windows at once and max-pools
-each sentence over its own windows.
+each sentence over its own windows, all in one gather and one argmax.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class CnnParams:
         if self.out_w.shape != (h,):
             raise ValueError("output weight shape mismatch")
         tensors = [self.filters, self.filter_bias, self.dense_w, self.dense_b, self.out_w]
-        if not all(np.all(np.isfinite(t)) for t in tensors) or not math.isfinite(self.out_b):
+        if not all(np.isfinite(t).all() for t in tensors) or not math.isfinite(self.out_b):
             raise ValueError("parameters must be finite")
 
     @property
@@ -146,21 +146,20 @@ def loss_and_gradients(params: CnnParams, pairs: Sequence[tuple[np.ndarray, np.n
     """Cross-entropy loss summed over a batch of (a, b) matrix pairs, and its
     analytic parameter gradients, also summed over the batch.
 
-    The batch's sentences are stacked into one token-row matrix, each one
-    zero-padded to at least ``k`` rows as ``_windows`` pads a short
-    sentence.  Every window position of that stack is convolved at once,
-    one matmul per kernel row; windows that straddle two sentences are
-    computed but never read.  Each sentence is max-pooled over its own
-    windows.
+    One concatenate stacks the batch's sentences, each one shorter than ``k``
+    followed by the zero rows ``_windows`` pads it with.  Every window position
+    of the stack, straddling two sentences or not, is convolved at once, one
+    matmul per kernel row.  One gather and argmax over each sentence's own
+    windows find every filter's winner, for the value and the gradient.
     """
     k, n_filters = params.kernel_width, params.n_filters
     mats = [a for a, _ in pairs] + [b for _, b in pairs]
     n_pairs = len(pairs)
-    lengths = [max(len(m), k) for m in mats]
-    starts = np.cumsum([0] + lengths[:-1])
-    rows = np.zeros((sum(lengths), params.dim))
-    for start, mat in zip(starts.tolist(), mats):
-        rows[start : start + len(mat)] = mat
+    pad = np.zeros((k, params.dim))
+    rows = np.concatenate([part for mat in mats for part in
+                           ((mat,) if len(mat) >= k else (mat, pad[len(mat):]))])
+    lengths = np.maximum([len(mat) for mat in mats], k)
+    starts = np.cumsum(lengths) - lengths
 
     # the k row-shifted views of the stack stand in for its windows, so
     # that no (windows, k * d) copy is made
@@ -168,13 +167,12 @@ def loss_and_gradients(params: CnnParams, pairs: Sequence[tuple[np.ndarray, np.n
     shifted = [rows[i : i + n_positions] for i in range(k)]
     pre = params.filter_bias[:, None] + sum(
         params.filters[:, i] @ shifted[i].T for i in range(k))  # (F, positions)
-    # each sentence's valid windows, -inf past its last one
-    n_windows = [n - k + 1 for n in lengths]
-    grid = np.full((len(mats), n_filters, max(n_windows)), -np.inf)
-    for sentence, start, n in zip(grid, starts.tolist(), n_windows):
-        sentence[:, :n] = pre[:, start : start + n]
-    best = grid.argmax(axis=2)  # (2B, F): the max-pool's winning windows
-    top = grid.max(axis=2)
+    # (2B, W): each sentence's window positions, a slot past its last window
+    # repeating it, which cannot win: argmax takes the first of equal values
+    window = np.minimum(starts[:, None] + np.arange(lengths.max() - k + 1),
+                        (starts + lengths - k)[:, None])
+    won = starts[:, None] + pre.T[window].argmax(axis=1)  # (2B, F): max-pool winners
+    top = pre[np.arange(n_filters), won]
     feats = np.maximum(top, 0.0)
 
     fa, fb = feats[:n_pairs], feats[n_pairs:]
@@ -191,7 +189,7 @@ def loss_and_gradients(params: CnnParams, pairs: Sequence[tuple[np.ndarray, np.n
     dfeats = np.concatenate([dabs * sign + dprod * fb, -dabs * sign + dprod * fa])
     dtop = dfeats * (top > 0.0)
     dpre = np.zeros_like(pre)
-    dpre[np.arange(n_filters), starts[:, None] + best] = dtop
+    dpre[np.arange(n_filters), won] = dtop
     grads = {
         "filters": np.stack([dpre @ part for part in shifted], axis=1),
         "filter_bias": dtop.sum(axis=0),

@@ -65,7 +65,7 @@ class FusionNet:
         if self.hidden_w.shape != (h, 3) or self.out_w.shape != (h,):
             raise ValueError("fusion net shapes are inconsistent")
         tensors = [self.hidden_w, self.hidden_b, self.out_w]
-        if not all(np.all(np.isfinite(t)) for t in tensors) or not math.isfinite(self.out_b):
+        if not all(np.isfinite(t).all() for t in tensors) or not math.isfinite(self.out_b):
             raise ValueError("parameters must be finite")
 
 

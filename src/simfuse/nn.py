@@ -25,12 +25,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def sigmoid(x: float) -> float:

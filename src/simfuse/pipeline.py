@@ -293,14 +293,16 @@ def _read_text_files(directory: Path, files) -> dict:
 def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
     """Load a bundle directory written by save_bundle, or a v1 bundle.
 
-    A v2 bundle's ``n_max`` comes from its manifest; an ``n_max`` given here
-    that differs is a FormatError.  Before anything is parsed, each file's
-    sha256 is checked against the manifest.  A directory without
-    manifest.tsv is read as v1, whose ``n_max`` is the one given here
-    (DEFAULT_N_MAX when None).  A missing, malformed, non-finite or
-    inconsistent file raises FormatError naming the file; CNN parameters
-    whose dimension is not the table's name cnn.params.
+    An ``n_max`` below 1 is a ConfigError, before any file is read.  A v2
+    bundle's ``n_max`` comes from its manifest, and one given here that
+    differs is a FormatError; each file's sha256 is checked against the
+    manifest before anything is parsed.  Without manifest.tsv the directory
+    is read as v1, with the ``n_max`` given here (DEFAULT_N_MAX when None).
+    A missing, malformed, non-finite or inconsistent file raises FormatError
+    naming it; CNN parameters of another dimension than the table's name cnn.params.
     """
+    if n_max is not None and n_max < 1:
+        raise ConfigError(f"n_max must be >= 1, got {n_max}")
     directory = Path(directory)
     if not (directory / MANIFEST).exists():
         if not (directory / V1_EMBEDDINGS).exists():

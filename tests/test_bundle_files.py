@@ -15,7 +15,7 @@ from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, cnn_train, init_
                          save_cnn_params)
 from simfuse.embedding import (BLOCK_ROWS, EmbeddingTable, load_text_embeddings,
                                save_text_embeddings)
-from simfuse.errors import FormatError
+from simfuse.errors import ConfigError, FormatError
 from simfuse.fusion import (LEARNED, WEIGHTED_SUM, FusionNet, FusionParams,
                             FusionWeights)
 from simfuse.pipeline import ModelBundle, load_bundle, save_bundle
@@ -295,6 +295,18 @@ class TestV1AndV2:
         save_v1_bundle(trained_bundle, tmp_path / "v1")
         assert load_bundle(tmp_path / "v1").n_max == DEFAULT_N_MAX
         assert load_bundle(tmp_path / "v1", n_max=8).n_max == 8
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_an_n_max_below_1_is_refused_before_any_file_is_read(self, trained_bundle,
+                                                                  tmp_path, version, n_max):
+        directory = tmp_path / version
+        (save_v1_bundle if version == "v1" else save_bundle)(trained_bundle, directory)
+        for path in directory.iterdir():
+            if path.name != "manifest.tsv":  # which tells a v2 bundle from a v1
+                path.write_bytes(b"\xff")
+        with pytest.raises(ConfigError, match=f"^n_max must be >= 1, got {n_max}$"):
+            load_bundle(directory, n_max=n_max)
 
 
 def _replace(old, new):

@@ -199,6 +199,29 @@ class TestTrain:
         assert status == 1
         assert "momentum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "seed = -1",
+        "learning_rate = nan", "learning_rate = inf", "learning_rate = 0", "learning_rate = -0.1",
+        "epochs = 0", "batch_size = 0", "n_max = 0",
+        "fusion_mode = stacked", "weighting_factor = auc",
+    ])
+    def test_a_malformed_config_value_exits_1_with_one_error_line(self, workdir, tmp_path,
+                                                                  capsys, line):
+        _, pairs, embeddings, _ = workdir
+        config = tmp_path / "bad.cfg"
+        # two epochs keep a run short should the value be accepted; a later
+        # line overrides an earlier one
+        config.write_text(f"epochs = 2\n{line}\n", encoding="utf-8")
+        status = main(["train", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                       "--out", str(tmp_path / "m"), "--config", str(config)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert len(captured.err.splitlines()) == 1
+        # the error names the key, so it is the config check that stopped the run
+        assert captured.err.startswith("error: ") and line.split(" = ")[0] in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "m").exists()
+
 
 class TestScore:
     def test_tsv_records(self, workdir, capsys):

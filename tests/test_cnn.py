@@ -13,7 +13,7 @@ from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _windows,
 from simfuse.corpus import GRADED, Dataset, Sentence
 from simfuse.embedding import EmbeddingTable, embed_sentence
 from simfuse.errors import ConfigError, LabelKindError
-from simfuse.nn import bce_from_logit, sgd, sigmoid
+from simfuse.nn import bce_from_logit, bce_loss_and_dlogits, sgd, sigmoid
 
 from toy import separable_toy_set
 
@@ -116,6 +116,70 @@ def _assert_matches_oracle(params, pairs, labels):
         assert got.shape == expected.shape, name
         np.testing.assert_allclose(got, expected, rtol=0,
                                    atol=BATCH_RTOL * np.max(np.abs(expected)), err_msg=name)
+    return grads
+
+
+def grid_batch_oracle(params, pairs, labels):
+    """The batch loss and gradients with the token-row stack filled sentence
+    by sentence and each sentence max-pooled in its own row of a grid padded
+    with -inf, by an argmax and a max: the reference that
+    ``loss_and_gradients`` must match bit for bit."""
+    k, n_filters = params.kernel_width, params.n_filters
+    mats = [a for a, _ in pairs] + [b for _, b in pairs]
+    n_pairs = len(pairs)
+    lengths = [max(len(m), k) for m in mats]
+    starts = np.cumsum([0] + lengths[:-1])
+    rows = np.zeros((sum(lengths), params.dim))
+    for start, mat in zip(starts.tolist(), mats):
+        rows[start : start + len(mat)] = mat
+
+    n_positions = len(rows) - k + 1
+    shifted = [rows[i : i + n_positions] for i in range(k)]
+    pre = params.filter_bias[:, None] + sum(
+        params.filters[:, i] @ shifted[i].T for i in range(k))  # (F, positions)
+    n_windows = [n - k + 1 for n in lengths]
+    grid = np.full((len(mats), n_filters, max(n_windows)), -np.inf)
+    for sentence, start, n in zip(grid, starts.tolist(), n_windows):
+        sentence[:, :n] = pre[:, start : start + n]
+    best = grid.argmax(axis=2)
+    top = grid.max(axis=2)
+    feats = np.maximum(top, 0.0)
+
+    fa, fb = feats[:n_pairs], feats[n_pairs:]
+    z = np.concatenate([np.abs(fa - fb), fa * fb], axis=1)
+    hidden_pre = z @ params.dense_w.T + params.dense_b
+    hidden = np.maximum(hidden_pre, 0.0)
+    logits = hidden @ params.out_w + params.out_b
+    loss, dlogits = bce_loss_and_dlogits(logits, np.asarray(labels, dtype=np.float64))
+
+    dhidden_pre = dlogits[:, None] * params.out_w * (hidden_pre > 0.0)
+    dz = dhidden_pre @ params.dense_w
+    dabs, dprod = dz[:, :n_filters], dz[:, n_filters:]
+    sign = np.sign(fa - fb)
+    dfeats = np.concatenate([dabs * sign + dprod * fb, -dabs * sign + dprod * fa])
+    dtop = dfeats * (top > 0.0)
+    dpre = np.zeros_like(pre)
+    dpre[np.arange(n_filters), starts[:, None] + best] = dtop
+    grads = {
+        "filters": np.stack([dpre @ part for part in shifted], axis=1),
+        "filter_bias": dtop.sum(axis=0),
+        "dense_w": dhidden_pre.T @ z,
+        "dense_b": dhidden_pre.sum(axis=0),
+        "out_w": dlogits @ hidden,
+        "out_b": float(dlogits.sum()),
+    }
+    return loss, grads
+
+
+def _assert_matches_grid_oracle(params, pairs, labels):
+    loss, grads = loss_and_gradients(params, pairs, labels)
+    want_loss, want = grid_batch_oracle(params, pairs, labels)
+    assert loss == want_loss
+    assert set(grads) == set(want)
+    for name, expected in want.items():
+        got, expected = np.asarray(grads[name]), np.asarray(expected)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
     return grads
 
 
@@ -346,6 +410,80 @@ class TestBatchAgainstPerPairOracle:
         assert params.out_b == pytest.approx(want.out_b, rel=BATCH_RTOL, abs=0)
 
 
+class TestBatchAgainstGridOracle:
+    """loss_and_gradients against the grid oracle, bit for bit: the loss and
+    every gradient tensor's dtype, shape and bytes."""
+
+    @pytest.mark.parametrize("kernel_width", [3, 4])
+    def test_some_or_all_sentences_shorter_than_the_kernel(self, kernel_width):
+        params = init_params(dim=4, n_filters=5, kernel_width=kernel_width, hidden=4, seed=1)
+        rng = np.random.default_rng(40)
+        for lengths in ([(1, 2), (2, 1), (1, 1), (3, 2), (2, 5)], [(1, 2), (2, 1), (1, 1)]):
+            pairs = [(_random_matrix(rng, la, 4), _random_matrix(rng, lb, 4))
+                     for la, lb in lengths]
+            _assert_matches_grid_oracle(params, pairs, rng.integers(0, 2, len(pairs)) * 1.0)
+
+    @pytest.mark.parametrize("kernel_width", [1, 3, 4])
+    def test_mixed_lengths_up_to_n_max(self, kernel_width):
+        params = init_params(dim=6, kernel_width=kernel_width, seed=2)
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            lengths = rng.integers(1, DEFAULT_N_MAX + 1, size=(16, 2))
+            lengths[0] = DEFAULT_N_MAX
+            pairs = [(_random_matrix(rng, la, 6), _random_matrix(rng, lb, 6))
+                     for la, lb in lengths]
+            _assert_matches_grid_oracle(params, pairs, rng.integers(0, 2, 16) * 1.0)
+
+    @pytest.mark.parametrize("kernel_width", [1, 3, 4])
+    def test_a_batch_of_one_pair(self, kernel_width):
+        params = init_params(dim=5, n_filters=6, kernel_width=kernel_width, hidden=4, seed=3)
+        rng = np.random.default_rng(42)
+        for la, lb in [(1, 1), (2, 9), (DEFAULT_N_MAX, 4)]:
+            pair = (_random_matrix(rng, la, 5), _random_matrix(rng, lb, 5))
+            _assert_matches_grid_oracle(params, [pair], [1.0])
+
+    def test_a_filter_dead_on_the_whole_batch(self):
+        base = init_params(dim=3, n_filters=4, kernel_width=2, hidden=6, seed=4)
+        params = replace(base, filter_bias=base.filter_bias - np.array([0.0, 1e3, 0.0, 0.0]))
+        rng = np.random.default_rng(43)
+        pairs = [(_random_matrix(rng, la, 3), _random_matrix(rng, lb, 3))
+                 for la, lb in [(1, 4), (5, 3), (2, 2), (6, 1)]]
+        grads = _assert_matches_grid_oracle(params, pairs, [1.0, 0.0, 0.0, 1.0])
+        assert np.all(grads["filters"][1] == 0.0)
+
+    def test_equal_windows_go_to_the_first(self):
+        # The filters read only dimension 0, where every row of a sentence
+        # is 1, so all its windows tie; dimension 1 differs from row to row,
+        # so the filters' gradient shows which window won.
+        base = init_params(dim=2, n_filters=3, kernel_width=3, hidden=4, seed=0)
+        filters = np.abs(base.filters) * np.array([1.0, 0.0])
+        params = replace(base, filters=filters, filter_bias=np.abs(base.filter_bias))
+        rng = np.random.default_rng(44)
+        tied = np.column_stack([np.ones(7), rng.standard_normal(7)])
+        identical = np.tile([0.5, -2.0], (6, 1))
+        pairs = [(tied, identical), (identical, _random_matrix(rng, 4, 2)),
+                 (tied[:4], tied)]
+        grads = _assert_matches_grid_oracle(params, pairs, [0.0, 1.0, 0.0])
+        assert np.any(grads["filters"][:, :, 1] != 0.0)
+
+    def test_cnn_train_ending_each_epoch_with_a_partial_batch(self):
+        # 10 pairs in batches of 4: the last batch of each epoch holds 2
+        dataset, table = separable_toy_set(n_per_class=5, dim=8)
+        config = TrainConfig(learning_rate=0.2, epochs=4, batch_size=4, seed=6)
+        params, losses = cnn_train(dataset, table, config)
+
+        inputs = [weighted_pair_matrices(p.a, p.b, table, DEFAULT_N_MAX) for p in dataset]
+        labels = np.array([p.label for p in dataset])
+        want, want_losses = sgd(
+            init_params(table.dim, seed=config.seed),
+            lambda p, idx: grid_batch_oracle(p, [inputs[i] for i in idx], labels[idx]),
+            len(inputs), config, np.random.default_rng(config.seed))
+        assert losses == want_losses
+        for name in ("filters", "filter_bias", "dense_w", "dense_b", "out_w", "out_b"):
+            got, expected = np.asarray(getattr(params, name)), np.asarray(getattr(want, name))
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+
 class TestTrainConfig:
     def test_rejects_zero_epochs(self):
         with pytest.raises(ConfigError):
@@ -358,6 +496,16 @@ class TestTrainConfig:
     def test_rejects_zero_batch(self):
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
+
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_learning_rate(self, learning_rate):
+        with pytest.raises(ConfigError, match="^learning_rate must be positive and finite$"):
+            TrainConfig(learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
+        with pytest.raises(ConfigError, match="^seed must be a non-negative integer"):
+            TrainConfig(seed=seed)
 
 
 class TestTraining:
