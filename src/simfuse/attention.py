@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import Sentence
-from .embedding import EmbeddingTable, embed_sentence
+from .embedding import EmbeddingTable, check_n_max, embed_sentence
 from .errors import DimensionError
 
 
@@ -120,6 +120,7 @@ def weighted_pair_matrices(a: Sentence, b: Sentence, table: EmbeddingTable,
     Sentences are truncated to ``n_max`` tokens up front so the similarity
     grid, position vectors and matrices all agree on token counts.
     """
+    check_n_max(n_max)
     a = a.truncated(n_max)
     b = b.truncated(n_max)
     mat_a = embed_sentence(table, a, n_max)

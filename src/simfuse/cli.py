@@ -15,11 +15,10 @@ from typing import IO, Callable, TypeVar
 
 from . import pipeline
 from .cnn import DEFAULT_N_MAX
-from .corpus import (BINARY, GRADED, ONE_IS_SIMILAR, ZERO_IS_SIMILAR, Dataset,
-                     parse_pair_file)
-from .embedding import load_text_embeddings
-from .errors import ConfigError, FormatError, SimfuseError
-from .fusion import LEARNED, WEIGHTED_SUM
+from .corpus import BINARY, GRADED, LABEL_CONVENTIONS, ONE_IS_SIMILAR, Dataset, parse_pair_file
+from .embedding import check_n_max, load_text_embeddings
+from .errors import ConfigError, FormatError, SimfuseError, check_choice
+from .fusion import FUSION_MODES, LEARNED
 from .metrics import MetricReport
 from .nn import TrainConfig
 
@@ -34,10 +33,10 @@ class CliConfig:
 
     embedding_path: str | None = None
     n_max: int = DEFAULT_N_MAX
-    seed: int = 0
-    learning_rate: float = 0.05
-    epochs: int = 50
-    batch_size: int = 16
+    seed: int = TrainConfig.seed
+    learning_rate: float = TrainConfig.learning_rate
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
     label_convention: str = ONE_IS_SIMILAR
     fusion_mode: str = LEARNED
     weighting_factor: str = "accuracy"
@@ -47,18 +46,12 @@ class CliConfig:
                                       compare=False)
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
-        self.train_config = TrainConfig(
-            learning_rate=self.learning_rate, epochs=self.epochs,
-            batch_size=self.batch_size, seed=self.seed,
-        )
-        if self.label_convention not in (ONE_IS_SIMILAR, ZERO_IS_SIMILAR):
-            raise ConfigError(f"unknown label_convention {self.label_convention!r}")
-        if self.fusion_mode not in (WEIGHTED_SUM, LEARNED):
-            raise ConfigError(f"unknown fusion_mode {self.fusion_mode!r}")
-        if self.weighting_factor not in pipeline.CALIBRATION_FACTORS:
-            raise ConfigError(f"unknown weighting_factor {self.weighting_factor!r}")
+        check_n_max(self.n_max)
+        self.train_config = TrainConfig(**{f.name: getattr(self, f.name)
+                                           for f in fields(TrainConfig)})
+        check_choice("label_convention", self.label_convention, LABEL_CONVENTIONS)
+        check_choice("fusion_mode", self.fusion_mode, FUSION_MODES)
+        check_choice("weighting_factor", self.weighting_factor, pipeline.CALIBRATION_FACTORS)
 
 
 # key -> parser of its value: the type of each CliConfig default

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import EmptySentence, FormatError
+from .errors import EmptySentence, FormatError, check_choice
 
 #: Grammatical roles recognised on words.
 ROLES = frozenset({"SUBJ", "PRED", "OBJ", "ATTR", "ADV", "COMP", "NONE"})
@@ -24,6 +24,7 @@ GRADED = "graded"
 #: label of 1 as "similar"; ZERO_IS_SIMILAR inverts that.
 ONE_IS_SIMILAR = "one_is_similar"
 ZERO_IS_SIMILAR = "zero_is_similar"
+LABEL_CONVENTIONS = (ONE_IS_SIMILAR, ZERO_IS_SIMILAR)
 
 _PUNCT = ".,!?;:'\"()"
 
@@ -185,8 +186,10 @@ def parse_pair_file(stream: IO[str] | Iterable[str], label_kind: str,
 
     Lines starting with ``#`` and empty lines are ignored.  Sentences
     containing ``|`` are parsed as annotated, others are tokenized raw.
-    Raises FormatError (with the offending line number) on malformed rows.
+    Raises ConfigError on an unknown ``convention``, before any line is
+    read, and FormatError (with the offending line number) on malformed rows.
     """
+    check_choice("label_convention", convention, LABEL_CONVENTIONS)
     pairs = []
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n").rstrip("\r")

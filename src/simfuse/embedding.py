@@ -26,7 +26,7 @@ from typing import IO, BinaryIO, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Sentence
-from .errors import FormatError
+from .errors import FormatError, check_int
 
 # Lines per np.loadtxt call when reading an embeddings file, and rows per
 # read or write of an npy matrix: larger blocks parse no faster and raise
@@ -277,8 +277,12 @@ def lookup(table: EmbeddingTable, surface: str) -> np.ndarray:
     return vec
 
 
+def check_n_max(n_max: int) -> None:
+    """ConfigError unless ``n_max``, the words embedded per sentence, is an int >= 1."""
+    check_int("n_max", n_max, 1)
+
+
 def embed_sentence(table: EmbeddingTable, s: Sentence, n_max: int) -> np.ndarray:
     """The (L, dim) matrix of the sentence's token vectors, L = min(len(s), n_max)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    check_n_max(n_max)
     return np.array([lookup(table, word) for word in s.words[:n_max]], dtype=np.float64)

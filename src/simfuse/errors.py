@@ -1,4 +1,4 @@
-"""Exception types shared across the simfuse package."""
+"""Exception types shared across the simfuse package, and the setting checks."""
 
 
 class SimfuseError(Exception):
@@ -39,3 +39,17 @@ class EmptyEval(SimfuseError):
 
 class UndefinedCorrelation(SimfuseError):
     """Raised when a correlation coefficient is undefined (zero variance)."""
+
+
+def check_int(key: str, value, minimum: int) -> None:
+    """ConfigError naming ``key`` unless ``value`` is an int (not a bool) >= ``minimum``."""
+    if type(value) is not int:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+
+
+def check_choice(key: str, value, choices: tuple) -> None:
+    """ConfigError naming ``key`` unless ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"unknown {key} {value!r}")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .embedding import format_row, parse_row
 from .errors import (ConfigError, DegenerateData, DimensionError, FormatError,
-                     SimfuseError)
+                     SimfuseError, check_choice)
 from .nn import TrainConfig, bce_loss_and_dlogits, sigmoid, sgd
 
 SIMILAR = "similar"
@@ -25,6 +25,7 @@ DIFFERENT = "different"
 
 WEIGHTED_SUM = "weighted_sum"
 LEARNED = "learned"
+FUSION_MODES = (WEIGHTED_SUM, LEARNED)
 
 _FUSION_HEADER = "simfuse-fusion v1"
 _COMBINER_HIDDEN = 4
@@ -75,8 +76,7 @@ class FusionParams:
     net: FusionNet | None = None
 
     def __post_init__(self):
-        if self.mode not in (WEIGHTED_SUM, LEARNED):
-            raise ConfigError(f"unknown fusion mode {self.mode!r}")
+        check_choice("fusion_mode", self.mode, FUSION_MODES)
         if self.mode == LEARNED and self.net is None:
             raise ConfigError("learned fusion mode requires a trained combiner")
 

@@ -12,7 +12,7 @@ from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateData
+from .errors import ConfigError, DegenerateData, check_int
 
 P = TypeVar("P")
 
@@ -25,14 +25,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be positive and finite")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        lr = self.learning_rate
+        if not (isinstance(lr, (int, float)) and 0 < lr < math.inf):
+            raise ConfigError(f"learning_rate must be positive and finite, got {lr!r}")
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("seed", self.seed, 0)
 
 
 def sigmoid(x: float) -> float:

@@ -24,10 +24,10 @@ from typing import IO, Iterator
 
 from . import attention, cnn, fusion, jaccard, metrics, tfidf
 from .corpus import BINARY, Dataset, LabeledPair
-from .embedding import (EmbeddingTable, load_npy_table, load_text_embeddings,
+from .embedding import (EmbeddingTable, check_n_max, load_npy_table, load_text_embeddings,
                         load_vocab, parse_int, save_npy_table, save_vocab)
 from .errors import (ConfigError, DegenerateData, DimensionError, EmptyEval, FormatError,
-                     SimfuseError)
+                     SimfuseError, check_choice)
 from .nn import TrainConfig
 
 CALIBRATION_FACTORS = ("accuracy", "precision", "recall", "f1")
@@ -56,8 +56,7 @@ class ModelBundle:
     n_max: int = cnn.DEFAULT_N_MAX
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ConfigError(f"n_max must be >= 1, got {self.n_max}")
+        check_n_max(self.n_max)
         if self.cnn_params.dim != self.table.dim:
             raise DimensionError(f"CNN filters of dimension {self.cnn_params.dim} do not "
                                  f"match the embedding table's dimension {self.table.dim}")
@@ -109,11 +108,6 @@ def evaluate(dataset: Dataset, bundle: ModelBundle) -> metrics.MetricReport:
     return metrics.MetricReport(pearson=pearson, spearman=spearman)
 
 
-def _check_factor(factor: str) -> None:
-    if factor not in CALIBRATION_FACTORS:
-        raise ValueError(f"unknown weighting factor {factor!r}")
-
-
 def weights_from_scores(triples: list[tuple[float, float, float]],
                         gold: list[bool], factor: str) -> fusion.FusionWeights:
     """Softmax weights from standalone per-model metrics over score triples.
@@ -121,7 +115,7 @@ def weights_from_scores(triples: list[tuple[float, float, float]],
     Each model classifies on its own score with the 0.5 rule; the chosen
     metric per model feeds the softmax in (jaccard, cnn, tfidf) order.
     """
-    _check_factor(factor)
+    check_choice("weighting_factor", factor, CALIBRATION_FACTORS)
     per_model = []
     for model_idx in range(3):
         preds = [triple[model_idx] >= 0.5 for triple in triples]
@@ -140,13 +134,11 @@ def train_bundle(dataset: Dataset, table: EmbeddingTable, config: TrainConfig, *
     weights; in ``learned`` mode the combiner is then fit on the weighted
     score triples.  Returns the bundle and the mean loss per epoch of the
     CNN and of the combiner (empty in ``weighted_sum`` mode).  Deterministic
-    for a seed.  An unknown ``factor`` (ValueError), an ``n_max`` below 1 or
-    an unknown ``fusion_mode`` (ConfigError), and a single label class in
-    ``learned`` mode (DegenerateData) fail before any training.
+    for a seed.  A bad ``factor``, ``n_max`` or ``fusion_mode`` (ConfigError),
+    or one label class in ``learned`` mode (DegenerateData), fails first.
     """
-    _check_factor(factor)
-    if n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    check_choice("weighting_factor", factor, CALIBRATION_FACTORS)
+    check_n_max(n_max)
     if fusion_mode != fusion.LEARNED:
         fusion_params, fusion_losses = fusion.FusionParams(mode=fusion_mode), []
     elif len({pair.label for pair in dataset}) < 2:
@@ -212,7 +204,7 @@ HASHED_FILES = tuple(name for name, _, _ in _PARAM_FILES) + (VOCAB, MATRIX)
 def _naming(name: str, errors: tuple[type[Exception], ...] = (SimfuseError, ValueError, OSError)
             ) -> Iterator[None]:
     """Turns a UTF-8 decode error, or one of ``errors``, met while handling
-    the file ``name`` into a FormatError that names it."""
+    ``name`` (a file, or a line of one) into a FormatError that names it."""
     try:
         yield
     except UnicodeDecodeError as exc:
@@ -264,8 +256,8 @@ def _read_manifest(path: Path) -> tuple[int, dict[str, str]]:
             if n_max is not None:
                 raise FormatError(f"line {lineno}: repeated n_max line")
             n_max = parse_int(fields[1], lineno, "n_max")
-            if n_max < 1:
-                raise FormatError(f"line {lineno}: n_max must be >= 1")
+            with _naming(f"line {lineno}", (ConfigError,)):
+                check_n_max(n_max)
         elif (fields[0] == "sha256" and len(fields) == 3 and fields[1] in HASHED_FILES
               and _HEX_DIGEST.fullmatch(fields[2])):
             if fields[1] in digests:
@@ -293,7 +285,7 @@ def _read_text_files(directory: Path, files) -> dict:
 def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
     """Load a bundle directory written by save_bundle, or a v1 bundle.
 
-    An ``n_max`` below 1 is a ConfigError, before any file is read.  A v2
+    A bad ``n_max`` is a ConfigError, before any file is read.  A v2
     bundle's ``n_max`` comes from its manifest, and one given here that
     differs is a FormatError; each file's sha256 is checked against the
     manifest before anything is parsed.  Without manifest.tsv the directory
@@ -301,8 +293,8 @@ def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
     A missing, malformed, non-finite or inconsistent file raises FormatError
     naming it; CNN parameters of another dimension than the table's name cnn.params.
     """
-    if n_max is not None and n_max < 1:
-        raise ConfigError(f"n_max must be >= 1, got {n_max}")
+    if n_max is not None:
+        check_n_max(n_max)
     directory = Path(directory)
     if not (directory / MANIFEST).exists():
         if not (directory / V1_EMBEDDINGS).exists():

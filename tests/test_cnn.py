@@ -1,4 +1,5 @@
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -499,12 +500,17 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
     def test_rejects_a_non_finite_learning_rate(self, learning_rate):
-        with pytest.raises(ConfigError, match="^learning_rate must be positive and finite$"):
+        with pytest.raises(ConfigError, match=f"^learning_rate must be positive and finite, "
+                                              f"got {learning_rate}$"):
             TrainConfig(learning_rate=learning_rate)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, True])
-    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
-        with pytest.raises(ConfigError, match="^seed must be a non-negative integer"):
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ], ids=["-1", "1.5", "True"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             TrainConfig(seed=seed)
 
 

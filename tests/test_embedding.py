@@ -8,7 +8,7 @@ from simfuse.corpus import Sentence
 from simfuse.embedding import (BLOCK_ROWS, OOV_CACHE_ROWS, EmbeddingTable, _oov_vector,
                                embed_sentence, format_row, load_text_embeddings, lookup,
                                parse_row, parse_rows, save_text_embeddings)
-from simfuse.errors import FormatError
+from simfuse.errors import ConfigError, FormatError
 
 
 def _reference_load(text):
@@ -378,7 +378,7 @@ class TestEmbedSentence:
 
     def test_invalid_n_max(self):
         table = EmbeddingTable(dim=3, vectors={})
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^n_max must be >= 1, got 0$"):
             embed_sentence(table, Sentence(["x"]), n_max=0)
 
 

@@ -1,15 +1,17 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from simfuse.cnn import TrainConfig
+from simfuse.cnn import TrainConfig, max_relative_error
 from simfuse.errors import ConfigError, DegenerateData, FormatError, SimfuseError
-from simfuse.fusion import (DIFFERENT, LEARNED, SIMILAR, WEIGHTED_SUM,
-                            FusionParams, FusionWeights,
-                            calibrate_weights, classify, fuse,
+from simfuse.fusion import (_NET_SECTIONS, DIFFERENT, LEARNED, SIMILAR, WEIGHTED_SUM,
+                            FusionNet, FusionParams, FusionWeights, _net_logit,
+                            _net_loss_and_grads, calibrate_weights, classify, fuse,
                             load_fusion_params, save_fusion_params,
                             scale_to_sts, train_fusion)
+from simfuse.nn import bce_from_logit
 
 from toy import DEFAULT_WEIGHTS
 
@@ -154,6 +156,55 @@ class TestTrainFusion:
                            match="^training diverged in epoch 2: parameters must be finite$"):
             train_fusion(triples, [1.0, 0.0, 1.0, 0.0], DEFAULT_WEIGHTS,
                          TrainConfig(learning_rate=1e300, epochs=20))
+
+
+def _random_net(rng, hidden=4):
+    return FusionNet(hidden_w=rng.normal(size=(hidden, 3)), hidden_b=rng.normal(size=hidden),
+                     out_w=rng.normal(size=hidden), out_b=float(rng.normal()))
+
+
+def _numeric_net_gradients(net, triples, labels, epsilon):
+    """Central differences of the batch's summed cross-entropy, computed
+    from the scoring path's logit one triple at a time."""
+    def loss(params):
+        return sum(bce_from_logit(_net_logit(params, t), y) for t, y in zip(triples, labels))
+
+    grads = {}
+    for name in _NET_SECTIONS:
+        tensor = np.atleast_1d(np.asarray(getattr(net, name), dtype=np.float64))
+        grad = np.zeros_like(tensor)
+        for i in range(tensor.size):
+            losses = []
+            for step in (epsilon, -epsilon):
+                bumped = tensor.copy()
+                bumped.flat[i] += step
+                value = float(bumped[0]) if name == "out_b" else bumped
+                losses.append(loss(replace(net, **{name: value})))
+            grad.flat[i] = (losses[0] - losses[1]) / (2.0 * epsilon)
+        grads[name] = grad
+    return grads
+
+
+class TestCombinerGradients:
+    def test_match_central_differences(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            net = _random_net(rng)
+            triples = rng.uniform(0.0, 1.0, size=(5, 3))
+            labels = rng.integers(0, 2, size=5).astype(np.float64)
+            _, analytic = _net_loss_and_grads(net, triples, labels)
+            numeric = _numeric_net_gradients(net, triples, labels, epsilon=1e-6)
+            assert max_relative_error(analytic, numeric) < 1e-4
+
+    def test_corrupted_gradient_detected(self):
+        rng = np.random.default_rng(72)
+        net = _random_net(rng)
+        triples = rng.uniform(0.0, 1.0, size=(5, 3))
+        labels = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+        _, analytic = _net_loss_and_grads(net, triples, labels)
+        analytic["hidden_w"] = analytic["hidden_w"] + 0.05
+        numeric = _numeric_net_gradients(net, triples, labels, epsilon=1e-6)
+        assert max_relative_error(analytic, numeric) > 1e-2
 
 
 class TestClassify:

@@ -1,15 +1,22 @@
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from simfuse import cnn, tfidf
+from simfuse.attention import weighted_pair_matrices
+from simfuse.cli import CliConfig
 from simfuse.cnn import DEFAULT_N_MAX, TrainConfig, cnn_train, init_params
-from simfuse.corpus import BINARY, GRADED, Dataset, LabeledPair, Sentence
+from simfuse.corpus import (BINARY, GRADED, LABEL_CONVENTIONS, Dataset, LabeledPair, Sentence,
+                            parse_pair_file)
+from simfuse.embedding import embed_sentence
 from simfuse.errors import ConfigError, DegenerateData, EmptyCorpus, EmptyEval, LabelKindError
-from simfuse.fusion import LEARNED, SIMILAR, WEIGHTED_SUM, FusionParams, calibrate_weights
-from simfuse.pipeline import (ModelBundle, component_scores, evaluate,
-                              load_bundle, save_bundle, score_with_bundle,
+from simfuse.fusion import (FUSION_MODES, LEARNED, SIMILAR, WEIGHTED_SUM, FusionParams,
+                            calibrate_weights)
+from simfuse.pipeline import (CALIBRATION_FACTORS, HASHED_FILES, ModelBundle, component_scores,
+                              evaluate, load_bundle, save_bundle, score_with_bundle,
                               train_bundle, weights_from_scores)
 from simfuse.tfidf import build_stats
 
@@ -142,13 +149,13 @@ class TestCalibrate:
     def test_rejects_unknown_factor(self, small_bundle, monkeypatch):
         dataset, bundle = small_bundle
         _forbid_training(monkeypatch)
-        with pytest.raises(ValueError, match="^unknown weighting factor 'vibes'$"):
+        with pytest.raises(ConfigError, match="^unknown weighting_factor 'vibes'$"):
             _train_bundle(dataset, bundle.table, factor="vibes")
 
     def test_rejects_unknown_fusion_mode(self, small_bundle, monkeypatch):
         dataset, bundle = small_bundle
         _forbid_training(monkeypatch)
-        with pytest.raises(ConfigError, match="^unknown fusion mode 'vibes'$"):
+        with pytest.raises(ConfigError, match="^unknown fusion_mode 'vibes'$"):
             _train_bundle(dataset, bundle.table, fusion_mode="vibes")
 
     def test_rejects_n_max_below_one_before_training(self, small_bundle, monkeypatch):
@@ -259,3 +266,102 @@ class TestMonotonicityWithUntrainedParams:
         identical = [score_with_bundle(bundle, p).fused for p in dataset if p.label == 1.0]
         disjoint = [score_with_bundle(bundle, p).fused for p in dataset if p.label == 0.0]
         assert min(identical) > max(disjoint)
+
+
+# Bad values of each setting, with the one message every entry point raises
+# for them: a value of the wrong type, one below the minimum, an unknown choice.
+_INT_SETTINGS = {"n_max": 1, "epochs": 1, "batch_size": 1, "seed": 0}
+_BAD_SETTINGS = {
+    **{key: [(minimum - 1, f"{key} must be >= {minimum}, got {minimum - 1}"),
+             (-3, f"{key} must be >= {minimum}, got -3"),
+             (2.5, f"{key} must be an integer, got 2.5"),
+             ("16", f"{key} must be an integer, got '16'"),
+             (True, f"{key} must be an integer, got True")]
+       for key, minimum in _INT_SETTINGS.items()},
+    "learning_rate": [(value, f"learning_rate must be positive and finite, got {value!r}")
+                      for value in ("0.1", None, 0, -0.1, float("nan"), float("inf"))],
+    **{key: [(value, f"unknown {key} {value!r}") for value in ("vibes", None, choices[0].upper())]
+       for key, choices in (("fusion_mode", FUSION_MODES),
+                            ("weighting_factor", CALIBRATION_FACTORS),
+                            ("label_convention", LABEL_CONVENTIONS))},
+}
+
+
+def _train_with(ctx, **setting):
+    """train_bundle on the small_bundle fixture, with one setting replaced."""
+    kwargs = {"n_max": DEFAULT_N_MAX, "fusion_mode": WEIGHTED_SUM, "factor": "accuracy",
+              **setting}
+    return train_bundle(ctx.dataset, ctx.bundle.table, TrainConfig(epochs=3, seed=11), **kwargs)
+
+
+def _load_unreadable(ctx, version, n_max):
+    """load_bundle on a v1 or v2 bundle directory whose every file is one
+    0xff byte, which no reader accepts: a setting checked before any file
+    is read is the only error it can raise."""
+    directory = ctx.tmp_path / version
+    directory.mkdir()
+    names = (("manifest.tsv",) + HASHED_FILES if version == "v2"
+             else ("embeddings.txt", "cnn.params", "fusion.params", "stats.tsv"))
+    for name in names:
+        (directory / name).write_bytes(b"\xff")
+    return load_bundle(directory, n_max=n_max)
+
+
+def _no_line_may_be_read():
+    """A source of pair-file lines that fails the test when it is read."""
+    raise AssertionError("a line was read before the settings were checked")
+    yield
+
+
+# setting -> entry point -> a call of it with the setting at ``value``
+_ENTRY_POINTS = {
+    "n_max": {
+        "embed_sentence": lambda ctx, v: embed_sentence(ctx.bundle.table, ctx.pair.a, v),
+        "weighted_pair_matrices": lambda ctx, v: weighted_pair_matrices(
+            ctx.pair.a, ctx.pair.b, ctx.bundle.table, v),
+        "component_scores": lambda ctx, v: component_scores(
+            ctx.pair, ctx.bundle.stats, ctx.bundle.table, ctx.bundle.cnn_params, v),
+        "cnn_train": lambda ctx, v: cnn_train(ctx.dataset, ctx.bundle.table,
+                                              TrainConfig(epochs=3, seed=11), n_max=v),
+        "ModelBundle": lambda ctx, v: replace(ctx.bundle, n_max=v),
+        "train_bundle": lambda ctx, v: _train_with(ctx, n_max=v),
+        "load_bundle_v1": lambda ctx, v: _load_unreadable(ctx, "v1", v),
+        "load_bundle_v2": lambda ctx, v: _load_unreadable(ctx, "v2", v),
+        "CliConfig": lambda ctx, v: CliConfig(n_max=v),
+    },
+    **{key: {"TrainConfig": lambda ctx, v, key=key: TrainConfig(**{key: v}),
+             "CliConfig": lambda ctx, v, key=key: CliConfig(**{key: v})}
+       for key in ("epochs", "batch_size", "seed", "learning_rate")},
+    "fusion_mode": {
+        "FusionParams": lambda ctx, v: FusionParams(mode=v),
+        "train_bundle": lambda ctx, v: _train_with(ctx, fusion_mode=v),
+        "CliConfig": lambda ctx, v: CliConfig(fusion_mode=v),
+    },
+    "weighting_factor": {
+        "weights_from_scores": lambda ctx, v: weights_from_scores([(0.5, 0.5, 0.5)], [True], v),
+        "train_bundle": lambda ctx, v: _train_with(ctx, factor=v),
+        "CliConfig": lambda ctx, v: CliConfig(weighting_factor=v),
+    },
+    "label_convention": {
+        "parse_pair_file": lambda ctx, v: parse_pair_file(_no_line_may_be_read(), BINARY, v),
+        "CliConfig": lambda ctx, v: CliConfig(label_convention=v),
+    },
+}
+
+
+_SETTING_CASES = [(key, entry, value, message)
+                  for key, entries in _ENTRY_POINTS.items() for entry in entries
+                  for value, message in _BAD_SETTINGS[key]]
+
+
+@pytest.mark.parametrize("key, entry, value, message", _SETTING_CASES,
+                         ids=[f"{key}-{entry}-{value!r}" for key, entry, value, _ in _SETTING_CASES])
+def test_every_bad_setting_is_one_config_error_at_every_entry_point(
+        small_bundle, tmp_path, monkeypatch, key, entry, value, message):
+    dataset, bundle = small_bundle
+    ctx = SimpleNamespace(dataset=dataset, bundle=bundle, pair=dataset.pairs[0],
+                          tmp_path=tmp_path)
+    _forbid_training(monkeypatch)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as caught:
+        _ENTRY_POINTS[key][entry](ctx, value)
+    assert type(caught.value) is ConfigError
