@@ -7,8 +7,8 @@ k gets one window zero-filled to width k), max-over-time pooling yields
 one feature vector per sentence, and a small dense head scores the
 symmetric combination (|f_A - f_B|, f_A * f_B).  Everything is plain
 numpy; gradients are implemented by hand and verifiable against central
-differences.  The loss, the logistic output and the SGD loop come from
-``nn.py``.
+differences.  The loss, the logistic output, the SGD loop and the
+central differences come from ``nn.py``.
 
 Scoring runs one pair at a time: ``cnn_forward`` convolves each sentence's
 windows with one matmul and max-pools before the ReLU, which picks the
@@ -23,16 +23,17 @@ each sentence over its own windows, all in one gather and one argmax.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Sequence
 
 import numpy as np
 
 from .attention import weighted_pair_matrices
 from .corpus import BINARY, Dataset
-from .embedding import EmbeddingTable, format_row, parse_int, parse_row
+from .embedding import EmbeddingTable, format_row, parse_int, parse_row, read_sections
 from .errors import FormatError, LabelKindError
-from .nn import TrainConfig, bce_from_logit, bce_loss_and_dlogits, sigmoid, sgd
+from .nn import (TrainConfig, bce_from_logit, bce_loss_and_dlogits, central_differences,
+                 check_finite, sigmoid, sgd)
 
 DEFAULT_FILTERS = 32
 DEFAULT_KERNEL_WIDTH = 3
@@ -65,9 +66,8 @@ class CnnParams:
             raise ValueError("dense weight shape mismatch")
         if self.out_w.shape != (h,):
             raise ValueError("output weight shape mismatch")
-        tensors = [self.filters, self.filter_bias, self.dense_w, self.dense_b, self.out_w]
-        if not all(np.isfinite(t).all() for t in tensors) or not math.isfinite(self.out_b):
-            raise ValueError("parameters must be finite")
+        check_finite(self.filters, self.filter_bias, self.dense_w, self.dense_b, self.out_w,
+                     self.out_b)
 
     @property
     def n_filters(self) -> int:
@@ -227,32 +227,11 @@ def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
                np.random.default_rng(config.seed))
 
 
-def _param_items(params: CnnParams) -> list[tuple[str, np.ndarray]]:
-    return [(name, np.atleast_1d(getattr(params, name))) for name in _TENSORS]
-
-
-def _with_tensor(params: CnnParams, name: str, tensor: np.ndarray) -> CnnParams:
-    if name == "out_b":
-        return replace(params, out_b=float(tensor[0]))
-    return replace(params, **{name: tensor})
-
-
 def numeric_gradients(params: CnnParams, a: np.ndarray, b: np.ndarray,
                       label: float, epsilon: float) -> dict:
     """Central-difference gradients of the cross-entropy loss."""
-    grads = {}
-    for name, tensor in _param_items(params):
-        grad = np.zeros_like(tensor)
-        flat = tensor.ravel()
-        for i in range(flat.size):
-            bumped = tensor.copy()
-            bumped.ravel()[i] = flat[i] + epsilon
-            loss_hi = bce_from_logit(_logit(_with_tensor(params, name, bumped), a, b), label)
-            bumped.ravel()[i] = flat[i] - epsilon
-            loss_lo = bce_from_logit(_logit(_with_tensor(params, name, bumped), a, b), label)
-            grad.ravel()[i] = (loss_hi - loss_lo) / (2.0 * epsilon)
-        grads[name] = grad
-    return grads
+    return central_differences(params, _TENSORS, epsilon,
+                               lambda p: bce_from_logit(_logit(p, a, b), label))
 
 
 def max_relative_error(analytic: dict, numeric: dict) -> float:
@@ -284,8 +263,8 @@ def save_cnn_params(params: CnnParams, stream: IO[str]) -> None:
     )
     stream.write(header + "\n")
     stream.write(f"rng_seed {params.rng_seed}\n")
-    for name, tensor in _param_items(params):
-        stream.write(format_row(name, tensor.ravel()))
+    for name in _TENSORS:
+        stream.write(format_row(name, getattr(params, name)))
 
 
 def load_cnn_params(stream: IO[str]) -> CnnParams:
@@ -306,23 +285,10 @@ def load_cnn_params(stream: IO[str]) -> CnnParams:
         "out_w": (hidden,),
         "out_b": (1,),
     }
-    seed = 0
-    tensors: dict[str, np.ndarray] = {}
-    seen: set[str] = set()
-    for lineno, line in lines[1:]:
-        name, _, rest = line.partition(" ")
-        if name in seen:
-            raise FormatError(f"line {lineno}: repeated CNN parameter section {name!r}")
-        seen.add(name)
-        if name == "rng_seed":
-            seed = parse_int(rest, lineno, "rng_seed")
-            continue
-        if name not in shapes:
-            raise FormatError(f"line {lineno}: unknown CNN parameter section {name!r}")
-        shape = shapes[name]
-        tensors[name] = parse_row(rest, lineno, math.prod(shape)).reshape(shape)
-    missing = set(shapes) - set(tensors)
-    if missing:
-        raise FormatError(f"missing CNN parameter sections: {sorted(missing)}")
+    sections = read_sections(lines[1:], ("rng_seed",) + _TENSORS, "CNN parameter")
+    seed_lineno, seed_text = sections.pop("rng_seed")
+    seed = parse_int(seed_text, seed_lineno, "rng_seed")
+    tensors = {name: parse_row(rest, lineno, math.prod(shapes[name])).reshape(shapes[name])
+               for name, (lineno, rest) in sections.items()}
     out_b = float(tensors.pop("out_b")[0])
     return CnnParams(**tensors, out_b=out_b, rng_seed=seed)

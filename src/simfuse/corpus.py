@@ -19,6 +19,7 @@ _ROLES_OR_NONE = ROLES | {None}
 
 BINARY = "binary"
 GRADED = "graded"
+LABEL_KINDS = (BINARY, GRADED)
 
 #: Label conventions for binary pair files.  ONE_IS_SIMILAR reads a raw
 #: label of 1 as "similar"; ZERO_IS_SIMILAR inverts that.
@@ -96,12 +97,11 @@ class LabeledPair:
 @dataclass(frozen=True)
 class Dataset:
     pairs: tuple[LabeledPair, ...]
-    label_kind: str  # BINARY or GRADED
+    label_kind: str  # one of LABEL_KINDS
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        if self.label_kind not in (BINARY, GRADED):
-            raise ValueError(f"unknown label kind: {self.label_kind!r}")
+        check_choice("label_kind", self.label_kind, LABEL_KINDS)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -186,9 +186,10 @@ def parse_pair_file(stream: IO[str] | Iterable[str], label_kind: str,
 
     Lines starting with ``#`` and empty lines are ignored.  Sentences
     containing ``|`` are parsed as annotated, others are tokenized raw.
-    Raises ConfigError on an unknown ``convention``, before any line is
-    read, and FormatError (with the offending line number) on malformed rows.
+    Raises ConfigError on an unknown ``label_kind`` or ``convention`` before
+    any line is read, and FormatError naming the line of a malformed row.
     """
+    check_choice("label_kind", label_kind, LABEL_KINDS)
     check_choice("label_convention", convention, LABEL_CONVENTIONS)
     pairs = []
     for lineno, line in enumerate(stream, start=1):

@@ -3,11 +3,11 @@
 the (L, dim) matrix of a sentence's token vectors.
 
 The ``.17g`` row codec here (``format_row``/``parse_row``) is shared by the
-embedding, CNN and fusion files.  Rows are written with one ``%`` operation
-each; embeddings files are read in blocks of ``BLOCK_ROWS`` lines parsed by
-``np.loadtxt``, and a block it does not accept is parsed again line by
-line with ``parse_row``, which alone decides what is valid and how an
-error reads.
+embedding, CNN and fusion files; ``read_sections`` splits the named rows of
+the last two.  Rows are written with one ``%`` operation each; embeddings
+files are read in blocks of ``BLOCK_ROWS`` lines parsed by ``np.loadtxt``,
+and a block it does not accept is parsed again line by line with
+``parse_row``, which alone decides what is valid and how an error reads.
 
 Out-of-vocabulary words map to deterministic pseudo-random unit vectors
 derived from a stable hash of the surface, so lookups are reproducible
@@ -56,9 +56,6 @@ class EmbeddingTable:
             if vec.shape != (self.dim,):
                 raise ValueError(f"vector for {surface!r} has shape {vec.shape}, expected ({self.dim},)")
 
-    def __contains__(self, surface: str) -> bool:
-        return surface in self.vectors
-
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -87,6 +84,24 @@ def parse_row(line: str, lineno: int, expected_count: int | None) -> np.ndarray:
     if not np.isfinite(values).all():
         raise FormatError(f"line {lineno}: non-finite value")
     return values
+
+
+def read_sections(lines: Sequence[tuple[int, str]], names: Sequence[str],
+                  what: str) -> dict[str, tuple[int, str]]:
+    """``{name: (lineno, text)}`` of ``(lineno, "name text")`` lines, in line order;
+    FormatError, worded with ``what``, on a name not in ``names``, repeated or missing."""
+    sections: dict[str, tuple[int, str]] = {}
+    for lineno, line in lines:
+        name, _, text = line.partition(" ")
+        if name not in names:
+            raise FormatError(f"line {lineno}: unknown {what} section {name!r}")
+        if name in sections:
+            raise FormatError(f"line {lineno}: repeated {what} section {name!r}")
+        sections[name] = (lineno, text)
+    missing = set(names) - set(sections)
+    if missing:
+        raise FormatError(f"missing {what} sections: {sorted(missing)}")
+    return sections
 
 
 def parse_rows(rows: Sequence[tuple[int, str]], expected_count: int) -> np.ndarray:

@@ -15,10 +15,10 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .embedding import format_row, parse_row
+from .embedding import format_row, parse_row, read_sections
 from .errors import (ConfigError, DegenerateData, DimensionError, FormatError,
                      SimfuseError, check_choice)
-from .nn import TrainConfig, bce_loss_and_dlogits, sigmoid, sgd
+from .nn import TrainConfig, bce_loss_and_dlogits, check_finite, sigmoid, sgd
 
 SIMILAR = "similar"
 DIFFERENT = "different"
@@ -65,9 +65,7 @@ class FusionNet:
         h = self.hidden_b.shape[0]
         if self.hidden_w.shape != (h, 3) or self.out_w.shape != (h,):
             raise ValueError("fusion net shapes are inconsistent")
-        tensors = [self.hidden_w, self.hidden_b, self.out_w]
-        if not all(np.isfinite(t).all() for t in tensors) or not math.isfinite(self.out_b):
-            raise ValueError("parameters must be finite")
+        check_finite(self.hidden_w, self.hidden_b, self.out_w, self.out_b)
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,12 @@ class FusionParams:
         check_choice("fusion_mode", self.mode, FUSION_MODES)
         if self.mode == LEARNED and self.net is None:
             raise ConfigError("learned fusion mode requires a trained combiner")
+
+
+def check_both_classes(labels: Sequence[float]) -> None:
+    """DegenerateData unless ``labels`` hold at least two distinct values."""
+    if len(set(labels)) < 2:
+        raise DegenerateData("fusion training needs both label classes")
 
 
 def calibrate_weights(metric_jaccard: float, metric_w2vcnn: float,
@@ -141,8 +145,7 @@ def train_fusion(triples: Sequence[tuple[float, float, float]],
     """
     if len(triples) != len(labels):
         raise DimensionError("triples and labels must have equal length")
-    if len(set(labels)) < 2:
-        raise DegenerateData("fusion training needs both label classes")
+    check_both_classes(labels)
     inputs = weights.as_array() * np.asarray(triples, dtype=np.float64)
     target = np.asarray(labels, dtype=np.float64)
 
@@ -178,7 +181,7 @@ def save_fusion_params(weights: FusionWeights, params: FusionParams,
     stream.write(format_row(None, weights.as_array()))
     if params.mode == LEARNED:
         for name in _NET_SECTIONS:
-            stream.write(format_row(name, np.ravel(getattr(params.net, name))))
+            stream.write(format_row(name, getattr(params.net, name)))
 
 
 def load_fusion_params(stream: IO[str]) -> tuple[FusionWeights, FusionParams]:
@@ -191,17 +194,7 @@ def load_fusion_params(stream: IO[str]) -> tuple[FusionWeights, FusionParams]:
     weights = FusionWeights(*parse_row(lines[1][1], lines[1][0], 3).tolist())
     if len(lines) == 2:
         return weights, FusionParams(mode=WEIGHTED_SUM, net=None)
-    sections: dict[str, tuple[int, str]] = {}
-    for lineno, line in lines[2:]:
-        name, _, rest = line.partition(" ")
-        if name not in _NET_SECTIONS:
-            raise FormatError(f"line {lineno}: unknown fusion net section {name!r}")
-        if name in sections:
-            raise FormatError(f"line {lineno}: repeated fusion net section {name!r}")
-        sections[name] = (lineno, rest)
-    missing = set(_NET_SECTIONS) - set(sections)
-    if missing:
-        raise FormatError(f"missing fusion net sections: {sorted(missing)}")
+    sections = read_sections(lines[2:], _NET_SECTIONS, "fusion net")
     h = len(sections["hidden_b"][1].split())
     shapes = {"hidden_w": (h, 3), "hidden_b": (h,), "out_w": (h,), "out_b": (1,)}
     tensors = {name: parse_row(rest, lineno, math.prod(shapes[name])).reshape(shapes[name])

@@ -1,14 +1,14 @@
 """Training machinery shared by the CNN scorer and the fusion combiner: the
-logistic function, binary cross-entropy on a logit, and one mini-batch SGD
-loop over frozen parameter dataclasses whose gradients come one batch at a
-time.
+logistic function, binary cross-entropy on a logit, one mini-batch SGD loop
+over frozen parameter dataclasses, the check that their values are finite,
+and the central differences that hand-written gradients are checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,6 +31,12 @@ class TrainConfig:
         check_int("epochs", self.epochs, 1)
         check_int("batch_size", self.batch_size, 1)
         check_int("seed", self.seed, 0)
+
+
+def check_finite(*tensors) -> None:
+    """ValueError unless every value of every tensor (an array or a float) is finite."""
+    if not all(np.isfinite(t).all() for t in tensors):
+        raise ValueError("parameters must be finite")
 
 
 def sigmoid(x: float) -> float:
@@ -63,12 +69,14 @@ def sgd(params: P, batch_loss_and_grads: Callable[[P, np.ndarray], tuple[float, 
     gradients summed over those examples, keyed by the names of the fields
     of the frozen dataclass ``params`` to update; each batch replaces every
     such field ``p`` with ``p - lr * (g * (1 / batch))``.  Returns the final
-    parameters and the mean loss per epoch.  Raises DegenerateData when an
-    update leaves parameters that the dataclass rejects (a ValueError from
-    its constructor, such as non-finite values after divergence).  Numpy's
-    overflow and invalid-value warnings are silenced during training, so
-    that error alone reports a diverging run.
+    parameters and the mean loss per epoch.  Raises DegenerateData for
+    ``n == 0`` and when an update leaves parameters that the dataclass
+    rejects (a ValueError from its constructor, such as non-finite values
+    after divergence).  Numpy's overflow and invalid-value warnings are
+    silenced during training, so that error alone reports a diverging run.
     """
+    if n == 0:
+        raise DegenerateData("training needs at least one example")
     epoch_losses: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
@@ -88,3 +96,25 @@ def sgd(params: P, batch_loss_and_grads: Callable[[P, np.ndarray], tuple[float, 
                     raise DegenerateData(f"training diverged in epoch {epoch}: {exc}") from exc
             epoch_losses.append(total / n)
     return params, epoch_losses
+
+
+def central_differences(params: P, names: Sequence[str], epsilon: float,
+                        loss: Callable[[P], float]) -> dict[str, np.ndarray]:
+    """Central-difference gradients of ``loss(params)`` by each field in
+    ``names`` of the frozen dataclass ``params``, one value moved by
+    +-epsilon at a time; a float field's gradient is a (1,) array."""
+    grads = {}
+    for name in names:
+        value = getattr(params, name)
+        tensor = np.atleast_1d(value)
+        grad = np.zeros_like(tensor)
+        for i in range(tensor.size):
+            losses = []
+            for step in (epsilon, -epsilon):
+                bumped = tensor.copy()
+                bumped.flat[i] += step
+                bumped_value = float(bumped[0]) if isinstance(value, float) else bumped
+                losses.append(loss(replace(params, **{name: bumped_value})))
+            grad.flat[i] = (losses[0] - losses[1]) / (2.0 * epsilon)
+        grads[name] = grad
+    return grads

@@ -26,8 +26,8 @@ from . import attention, cnn, fusion, jaccard, metrics, tfidf
 from .corpus import BINARY, Dataset, LabeledPair
 from .embedding import (EmbeddingTable, check_n_max, load_npy_table, load_text_embeddings,
                         load_vocab, parse_int, save_npy_table, save_vocab)
-from .errors import (ConfigError, DegenerateData, DimensionError, EmptyEval, FormatError,
-                     SimfuseError, check_choice)
+from .errors import (ConfigError, DimensionError, EmptyEval, FormatError, SimfuseError,
+                     check_choice)
 from .nn import TrainConfig
 
 CALIBRATION_FACTORS = ("accuracy", "precision", "recall", "f1")
@@ -141,8 +141,8 @@ def train_bundle(dataset: Dataset, table: EmbeddingTable, config: TrainConfig, *
     check_n_max(n_max)
     if fusion_mode != fusion.LEARNED:
         fusion_params, fusion_losses = fusion.FusionParams(mode=fusion_mode), []
-    elif len({pair.label for pair in dataset}) < 2:
-        raise DegenerateData("fusion training needs both label classes")
+    else:
+        fusion.check_both_classes([pair.label for pair in dataset])
     stats = tfidf.build_stats(dataset)
     cnn_params, cnn_losses = cnn.cnn_train(dataset, table, config, n_max=n_max)
     triples = [component_scores(pair, stats, table, cnn_params, n_max) for pair in dataset]

@@ -53,10 +53,8 @@ def build_stats(dataset: Dataset) -> CorpusStats:
     """Count, for every term, the number of pairs containing it.
 
     A term present in both sentences of a pair is counted once for that
-    pair.  Raises EmptyCorpus on an empty dataset.
+    pair.  Raises EmptyCorpus (from CorpusStats) on an empty dataset.
     """
-    if len(dataset) == 0:
-        raise EmptyCorpus("cannot build statistics for an empty dataset")
     freq: dict[str, int] = {}
     for pair in dataset:
         for term in set(pair.a.words) | set(pair.b.words):

@@ -401,6 +401,20 @@ CORRUPTIONS = [
      "embeddings.txt: line 2: non-finite value"),
     ("embeddings_overflow", "v1", "embeddings.txt", _replace("a 1e-300 3", "a 1e200 1e200"),
      "non-finite component score: w2vcnn=nan"),
+    ("cnn_unknown_section", "v1", "cnn.params",
+     _replace("out_b 0.75\n", "out_b 0.75\nextra 1 2\n"),
+     "cnn.params: line 9: unknown CNN parameter section 'extra'"),
+    ("cnn_missing_section", "v1", "cnn.params", _replace("dense_b 0 -0.5\n", ""),
+     "cnn.params: missing CNN parameter sections: ['dense_b']"),
+    ("cnn_without_rng_seed", "v1", "cnn.params", _replace("rng_seed 7\n", ""),
+     "cnn.params: missing CNN parameter sections: ['rng_seed']"),
+    # two faults: a section error comes before a value error on an earlier line
+    ("cnn_unknown_section_after_a_non_numeric_value", "v1", "cnn.params",
+     _replace("filters 0.5 -1.25 0.10000000000000001 3\n",
+              "filters abc -1.25 0.10000000000000001 3\nextra 1 2\n"),
+     "cnn.params: line 4: unknown CNN parameter section 'extra'"),
+    ("fusion_missing_section", "v1", "fusion.params", _replace("hidden_b 0 1\n", ""),
+     "fusion.params: missing fusion net sections: ['hidden_b']"),
     ("cnn_dimension_mismatch", "v1", "cnn.params", _dim_4_cnn_params,
      "cnn.params: CNN filters of dimension 4 do not match the embedding table's dimension 2"),
     # v2: every file truncated, flipped and deleted

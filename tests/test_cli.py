@@ -298,9 +298,12 @@ class TestScore:
         out = _train(workdir)
         _, pairs, _, _ = workdir
         capsys.readouterr()
+        # the child imports simfuse from this checkout's src, installed or not
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         results = []
         for hash_seed in ("1", "31337"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=pythonpath)
             proc = subprocess.run(
                 [sys.executable, "-m", "simfuse.cli", "score",
                  "--model", str(out), "--pairs", str(pairs)],

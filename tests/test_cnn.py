@@ -11,9 +11,9 @@ from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _windows,
                          load_cnn_params, loss_and_gradients,
                          max_relative_error, numeric_gradients,
                          save_cnn_params)
-from simfuse.corpus import GRADED, Dataset, Sentence
+from simfuse.corpus import BINARY, GRADED, Dataset, Sentence
 from simfuse.embedding import EmbeddingTable, embed_sentence
-from simfuse.errors import ConfigError, LabelKindError
+from simfuse.errors import ConfigError, DegenerateData, LabelKindError
 from simfuse.nn import bce_from_logit, bce_loss_and_dlogits, sgd, sigmoid
 
 from toy import separable_toy_set
@@ -536,6 +536,11 @@ class TestTraining:
         graded = Dataset(pairs=dataset.pairs, label_kind=GRADED)
         with pytest.raises(LabelKindError):
             cnn_train(graded, table, TrainConfig(epochs=1))
+
+    def test_rejects_an_empty_dataset(self, toy_training_setup):
+        _, table = toy_training_setup
+        with pytest.raises(DegenerateData, match="^training needs at least one example$"):
+            cnn_train(Dataset((), BINARY), table, TrainConfig(epochs=1))
 
 
 class TestPersistence:

@@ -6,7 +6,7 @@ import pytest
 
 from simfuse.corpus import (BINARY, GRADED, ZERO_IS_SIMILAR, Dataset, Sentence,
                             parse_annotated, parse_pair_file, tokenize)
-from simfuse.errors import EmptySentence, FormatError
+from simfuse.errors import ConfigError, EmptySentence, FormatError
 
 
 class TestTokenize:
@@ -209,5 +209,5 @@ class TestTypes:
         assert s.truncated(3) is s
 
     def test_dataset_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^unknown label_kind 'fuzzy'$"):
             Dataset(pairs=(), label_kind="fuzzy")

@@ -1,5 +1,4 @@
 import io
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from simfuse.fusion import (_NET_SECTIONS, DIFFERENT, LEARNED, SIMILAR, WEIGHTED
                             _net_loss_and_grads, calibrate_weights, classify, fuse,
                             load_fusion_params, save_fusion_params,
                             scale_to_sts, train_fusion)
-from simfuse.nn import bce_from_logit
+from simfuse.nn import bce_from_logit, central_differences
 
 from toy import DEFAULT_WEIGHTS
 
@@ -166,23 +165,8 @@ def _random_net(rng, hidden=4):
 def _numeric_net_gradients(net, triples, labels, epsilon):
     """Central differences of the batch's summed cross-entropy, computed
     from the scoring path's logit one triple at a time."""
-    def loss(params):
-        return sum(bce_from_logit(_net_logit(params, t), y) for t, y in zip(triples, labels))
-
-    grads = {}
-    for name in _NET_SECTIONS:
-        tensor = np.atleast_1d(np.asarray(getattr(net, name), dtype=np.float64))
-        grad = np.zeros_like(tensor)
-        for i in range(tensor.size):
-            losses = []
-            for step in (epsilon, -epsilon):
-                bumped = tensor.copy()
-                bumped.flat[i] += step
-                value = float(bumped[0]) if name == "out_b" else bumped
-                losses.append(loss(replace(net, **{name: value})))
-            grad.flat[i] = (losses[0] - losses[1]) / (2.0 * epsilon)
-        grads[name] = grad
-    return grads
+    return central_differences(net, _NET_SECTIONS, epsilon, lambda params: sum(
+        bce_from_logit(_net_logit(params, t), y) for t, y in zip(triples, labels)))
 
 
 class TestCombinerGradients:

@@ -9,8 +9,8 @@ from simfuse import cnn, tfidf
 from simfuse.attention import weighted_pair_matrices
 from simfuse.cli import CliConfig
 from simfuse.cnn import DEFAULT_N_MAX, TrainConfig, cnn_train, init_params
-from simfuse.corpus import (BINARY, GRADED, LABEL_CONVENTIONS, Dataset, LabeledPair, Sentence,
-                            parse_pair_file)
+from simfuse.corpus import (BINARY, GRADED, LABEL_CONVENTIONS, LABEL_KINDS, Dataset, LabeledPair,
+                            Sentence, parse_pair_file)
 from simfuse.embedding import embed_sentence
 from simfuse.errors import ConfigError, DegenerateData, EmptyCorpus, EmptyEval, LabelKindError
 from simfuse.fusion import (FUSION_MODES, LEARNED, SIMILAR, WEIGHTED_SUM, FusionParams,
@@ -283,7 +283,8 @@ _BAD_SETTINGS = {
     **{key: [(value, f"unknown {key} {value!r}") for value in ("vibes", None, choices[0].upper())]
        for key, choices in (("fusion_mode", FUSION_MODES),
                             ("weighting_factor", CALIBRATION_FACTORS),
-                            ("label_convention", LABEL_CONVENTIONS))},
+                            ("label_convention", LABEL_CONVENTIONS),
+                            ("label_kind", LABEL_KINDS))},
 }
 
 
@@ -345,6 +346,10 @@ _ENTRY_POINTS = {
     "label_convention": {
         "parse_pair_file": lambda ctx, v: parse_pair_file(_no_line_may_be_read(), BINARY, v),
         "CliConfig": lambda ctx, v: CliConfig(label_convention=v),
+    },
+    "label_kind": {
+        "parse_pair_file": lambda ctx, v: parse_pair_file(_no_line_may_be_read(), v),
+        "Dataset": lambda ctx, v: Dataset((), v),
     },
 }
 
