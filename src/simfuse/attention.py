@@ -14,6 +14,7 @@ import numpy as np
 from .corpus import Sentence
 from .embedding import EmbeddingTable, check_n_max, embed_sentence
 from .errors import DimensionError
+from .nn import softmax
 
 
 def cosine_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,12 +87,6 @@ def position_weights(a: Sentence, b: Sentence) -> tuple[np.ndarray, np.ndarray]:
     return pos_row, pos_col
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def attention_weights(row_vec: np.ndarray, pos_row: np.ndarray, col_vec: np.ndarray,
                       pos_col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Softmax over the summed similarity and position signals: the row
@@ -101,8 +96,8 @@ def attention_weights(row_vec: np.ndarray, pos_row: np.ndarray, col_vec: np.ndar
         raise DimensionError(f"row vector lengths differ: {row_vec.shape} vs {pos_row.shape}")
     if col_vec.shape != pos_col.shape:
         raise DimensionError(f"column vector lengths differ: {col_vec.shape} vs {pos_col.shape}")
-    return (_softmax(np.asarray(row_vec, dtype=np.float64) + pos_row),
-            _softmax(np.asarray(col_vec, dtype=np.float64) + pos_col))
+    return (softmax(np.asarray(row_vec, dtype=np.float64) + pos_row),
+            softmax(np.asarray(col_vec, dtype=np.float64) + pos_col))
 
 
 def apply_attention(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ k gets one window zero-filled to width k), max-over-time pooling yields
 one feature vector per sentence, and a small dense head scores the
 symmetric combination (|f_A - f_B|, f_A * f_B).  Everything is plain
 numpy; gradients are implemented by hand and verifiable against central
-differences.  The loss, the logistic output, the SGD loop and the
-central differences come from ``nn.py``.
+differences.  The dense head (the fusion combiner's too), the loss, the SGD
+loop and the central differences come from ``nn.py``.
 
 Scoring runs one pair at a time: ``cnn_forward`` convolves each sentence's
 windows with one matmul and max-pools before the ReLU, which picks the
@@ -32,8 +32,8 @@ from .attention import weighted_pair_matrices
 from .corpus import BINARY, Dataset
 from .embedding import EmbeddingTable, format_row, parse_int, parse_row, read_sections
 from .errors import FormatError, LabelKindError
-from .nn import (TrainConfig, bce_from_logit, bce_loss_and_dlogits, central_differences,
-                 check_finite, sigmoid, sgd)
+from .nn import (TrainConfig, bce_from_logit, central_differences, check_finite, check_head,
+                 fan_in_uniform, head_logit, head_loss_and_grads, init_head, sigmoid, sgd)
 
 DEFAULT_FILTERS = 32
 DEFAULT_KERNEL_WIDTH = 3
@@ -59,13 +59,9 @@ class CnnParams:
 
     def __post_init__(self):
         f, k, d = self.filters.shape
-        h = self.dense_b.shape[0]
         if self.filter_bias.shape != (f,):
             raise ValueError("filter_bias shape mismatch")
-        if self.dense_w.shape != (h, 2 * f):
-            raise ValueError("dense weight shape mismatch")
-        if self.out_w.shape != (h,):
-            raise ValueError("output weight shape mismatch")
+        check_head(self.dense_w, self.dense_b, self.out_w, 2 * f)
         check_finite(self.filters, self.filter_bias, self.dense_w, self.dense_b, self.out_w,
                      self.out_b)
 
@@ -91,20 +87,10 @@ def init_params(dim: int, n_filters: int = DEFAULT_FILTERS,
                 hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> CnnParams:
     """Uniform fan-in-scaled initialization, deterministic for a seed."""
     rng = np.random.default_rng(seed)
-
-    def uniform(fan_in, *shape):
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    return CnnParams(
-        filters=uniform(kernel_width * dim, n_filters, kernel_width, dim),
-        filter_bias=uniform(kernel_width * dim, n_filters),
-        dense_w=uniform(2 * n_filters, hidden, 2 * n_filters),
-        dense_b=uniform(2 * n_filters, hidden),
-        out_w=uniform(hidden, hidden),
-        out_b=float(uniform(hidden, 1)[0]),
-        rng_seed=seed,
-    )
+    filters = fan_in_uniform(rng, kernel_width * dim, n_filters, kernel_width, dim)
+    filter_bias = fan_in_uniform(rng, kernel_width * dim, n_filters)
+    return CnnParams(filters, filter_bias, *init_head(rng, 2 * n_filters, hidden),
+                     rng_seed=seed)
 
 
 def _windows(rows: np.ndarray, k: int) -> np.ndarray:
@@ -132,8 +118,7 @@ def _logit(params: CnnParams, a: np.ndarray, b: np.ndarray) -> float:
     fa = np.maximum((_windows(a, k) @ flat_filters + params.filter_bias).max(axis=0), 0.0)
     fb = np.maximum((_windows(b, k) @ flat_filters + params.filter_bias).max(axis=0), 0.0)
     z = np.concatenate([np.abs(fa - fb), fa * fb])
-    hidden = np.maximum(params.dense_w @ z + params.dense_b, 0.0)
-    return float(params.out_w @ hidden + params.out_b)
+    return head_logit(z, params.dense_w, params.dense_b, params.out_w, params.out_b)
 
 
 def cnn_forward(params: CnnParams, a: np.ndarray, b: np.ndarray) -> float:
@@ -177,12 +162,8 @@ def loss_and_gradients(params: CnnParams, pairs: Sequence[tuple[np.ndarray, np.n
 
     fa, fb = feats[:n_pairs], feats[n_pairs:]
     z = np.concatenate([np.abs(fa - fb), fa * fb], axis=1)
-    hidden_pre = z @ params.dense_w.T + params.dense_b
-    hidden = np.maximum(hidden_pre, 0.0)
-    logits = hidden @ params.out_w + params.out_b
-    loss, dlogits = bce_loss_and_dlogits(logits, np.asarray(labels, dtype=np.float64))
-
-    dhidden_pre = dlogits[:, None] * params.out_w * (hidden_pre > 0.0)
+    loss, dhidden_pre, head_grads = head_loss_and_grads(
+        z, params.dense_w, params.dense_b, params.out_w, params.out_b, labels)
     dz = dhidden_pre @ params.dense_w
     dabs, dprod = dz[:, :n_filters], dz[:, n_filters:]
     sign = np.sign(fa - fb)
@@ -193,10 +174,7 @@ def loss_and_gradients(params: CnnParams, pairs: Sequence[tuple[np.ndarray, np.n
     grads = {
         "filters": np.stack([dpre @ part for part in shifted], axis=1),
         "filter_bias": dtop.sum(axis=0),
-        "dense_w": dhidden_pre.T @ z,
-        "dense_b": dhidden_pre.sum(axis=0),
-        "out_w": dlogits @ hidden,
-        "out_b": float(dlogits.sum()),
+        **dict(zip(_TENSORS[2:], head_grads)),
     }
     return loss, grads
 
@@ -275,8 +253,10 @@ def load_cnn_params(stream: IO[str]) -> CnnParams:
     header = lines[0][1].split()
     if len(header) != 6 or header[0] != _CNN_MAGIC or header[1] != _FORMAT_VERSION:
         raise FormatError(f"bad CNN parameter header: {lines[0][1]!r}")
-    n_filters, kernel_width, dim, hidden = (
-        parse_int(x, lines[0][0], "a header size") for x in header[2:])
+    n_filters, kernel_width, dim, hidden = sizes = [
+        parse_int(x, lines[0][0], "a header size") for x in header[2:]]
+    if min(sizes) < 1:
+        raise FormatError(f"line {lines[0][0]}: header sizes must be >= 1, got {sizes}")
     shapes = {
         "filters": (n_filters, kernel_width, dim),
         "filter_bias": (n_filters,),

@@ -3,8 +3,8 @@ the final classification rule.
 
 Per-model validation metrics are softmax-normalized into a probability
 triple (alpha, beta, gamma) weighting the Jaccard, CNN and TF-IDF scores.
-Fusion is either the plain weighted sum or a small trained combiner over
-the weighted triple, trained with the loss and the SGD loop of ``nn.py``.
+Fusion is the plain weighted sum or a small trained combiner over the weighted
+triple: ``nn.py``'s fully connected head (the CNN's too), loss and SGD loop.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 from .embedding import format_row, parse_row, read_sections
 from .errors import (ConfigError, DegenerateData, DimensionError, FormatError,
                      SimfuseError, check_choice)
-from .nn import TrainConfig, bce_loss_and_dlogits, check_finite, sigmoid, sgd
+from .nn import (TrainConfig, check_finite, check_head, head_logit, head_loss_and_grads,
+                 init_head, sigmoid, sgd, softmax)
 
 SIMILAR = "similar"
 DIFFERENT = "different"
@@ -62,9 +63,7 @@ class FusionNet:
     out_b: float
 
     def __post_init__(self):
-        h = self.hidden_b.shape[0]
-        if self.hidden_w.shape != (h, 3) or self.out_w.shape != (h,):
-            raise ValueError("fusion net shapes are inconsistent")
+        check_head(self.hidden_w, self.hidden_b, self.out_w, 3)
         check_finite(self.hidden_w, self.hidden_b, self.out_w, self.out_b)
 
 
@@ -89,31 +88,17 @@ def calibrate_weights(metric_jaccard: float, metric_w2vcnn: float,
                       metric_tfidf: float) -> FusionWeights:
     """Softmax over the three per-model metrics, in (jaccard, cnn, tfidf) order."""
     metrics = np.array([metric_jaccard, metric_w2vcnn, metric_tfidf], dtype=np.float64)
-    shifted = np.exp(metrics - metrics.max())
-    alpha, beta, gamma = shifted / shifted.sum()
+    alpha, beta, gamma = softmax(metrics)
     return FusionWeights(alpha=float(alpha), beta=float(beta), gamma=float(gamma))
-
-
-def _net_logit(net: FusionNet, triple: np.ndarray) -> float:
-    hidden = np.maximum(net.hidden_w @ triple + net.hidden_b, 0.0)
-    return float(net.out_w @ hidden + net.out_b)
 
 
 def _net_loss_and_grads(net: FusionNet, triples: np.ndarray,
                         labels: np.ndarray) -> tuple[float, dict]:
     """Cross-entropy summed over a (B, 3) batch of weighted triples, and its
     gradients summed over the batch."""
-    hidden_pre = triples @ net.hidden_w.T + net.hidden_b
-    hidden = np.maximum(hidden_pre, 0.0)
-    loss, dlogits = bce_loss_and_dlogits(hidden @ net.out_w + net.out_b, labels)
-    dhidden = dlogits[:, None] * net.out_w * (hidden_pre > 0.0)
-    grads = {
-        "hidden_w": dhidden.T @ triples,
-        "hidden_b": dhidden.sum(axis=0),
-        "out_w": dlogits @ hidden,
-        "out_b": float(dlogits.sum()),
-    }
-    return loss, grads
+    loss, _, grads = head_loss_and_grads(triples, net.hidden_w, net.hidden_b, net.out_w,
+                                         net.out_b, labels)
+    return loss, dict(zip(_NET_SECTIONS, grads))
 
 
 def fuse(scores: tuple[float, float, float], weights: FusionWeights,
@@ -132,7 +117,8 @@ def fuse(scores: tuple[float, float, float], weights: FusionWeights,
         # left to right, as numpy sums three values; the weight triple can
         # sum to 1 +- 1 ulp, so keep the contract exact
         return float(min(1.0, weighted[0] + weighted[1] + weighted[2]))
-    return sigmoid(_net_logit(params.net, np.array(weighted)))
+    net = params.net
+    return sigmoid(head_logit(np.array(weighted), net.hidden_w, net.hidden_b, net.out_w, net.out_b))
 
 
 def train_fusion(triples: Sequence[tuple[float, float, float]],
@@ -150,14 +136,7 @@ def train_fusion(triples: Sequence[tuple[float, float, float]],
     target = np.asarray(labels, dtype=np.float64)
 
     rng = np.random.default_rng(config.seed)
-    h = _COMBINER_HIDDEN
-    bound_in, bound_out = 1.0 / math.sqrt(3), 1.0 / math.sqrt(h)
-    net = FusionNet(
-        hidden_w=rng.uniform(-bound_in, bound_in, size=(h, 3)),
-        hidden_b=rng.uniform(-bound_in, bound_in, size=h),
-        out_w=rng.uniform(-bound_out, bound_out, size=h),
-        out_b=float(rng.uniform(-bound_out, bound_out, size=1)[0]),
-    )
+    net = FusionNet(*init_head(rng, 3, _COMBINER_HIDDEN))
     net, epoch_losses = sgd(
         net, lambda p, idx: _net_loss_and_grads(p, inputs[idx], target[idx]),
         len(inputs), config, rng)
@@ -196,6 +175,8 @@ def load_fusion_params(stream: IO[str]) -> tuple[FusionWeights, FusionParams]:
         return weights, FusionParams(mode=WEIGHTED_SUM, net=None)
     sections = read_sections(lines[2:], _NET_SECTIONS, "fusion net")
     h = len(sections["hidden_b"][1].split())
+    if h == 0:
+        raise FormatError(f"line {sections['hidden_b'][0]}: hidden_b has no values")
     shapes = {"hidden_w": (h, 3), "hidden_b": (h,), "out_w": (h,), "out_b": (1,)}
     tensors = {name: parse_row(rest, lineno, math.prod(shapes[name])).reshape(shapes[name])
                for name, (lineno, rest) in sections.items()}

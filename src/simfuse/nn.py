@@ -1,7 +1,8 @@
-"""Training machinery shared by the CNN scorer and the fusion combiner: the
-logistic function, binary cross-entropy on a logit, one mini-batch SGD loop
-over frozen parameter dataclasses, the check that their values are finite,
-and the central differences that hand-written gradients are checked against.
+"""What the CNN scorer and the fusion combiner share: the fully connected head
+both end in (a ReLU hidden layer and a logistic output: forward, backward,
+fan-in initialization and shape check), the softmax, cross-entropy on a logit,
+one mini-batch SGD loop over frozen parameter dataclasses, the check that their
+values are finite, and the central differences gradients are checked against.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class TrainConfig:
 
     def __post_init__(self):
         lr = self.learning_rate
-        if not (isinstance(lr, (int, float)) and 0 < lr < math.inf):
+        if not (isinstance(lr, (int, float)) and not isinstance(lr, bool) and 0 < lr < math.inf):
             raise ConfigError(f"learning_rate must be positive and finite, got {lr!r}")
         check_int("epochs", self.epochs, 1)
         check_int("batch_size", self.batch_size, 1)
@@ -37,6 +38,49 @@ def check_finite(*tensors) -> None:
     """ValueError unless every value of every tensor (an array or a float) is finite."""
     if not all(np.isfinite(t).all() for t in tensors):
         raise ValueError("parameters must be finite")
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def fan_in_uniform(rng: np.random.Generator, fan_in: int, *shape: int) -> np.ndarray:
+    bound = 1.0 / math.sqrt(fan_in)
+    return rng.uniform(-bound, bound, size=shape)
+
+
+def init_head(rng: np.random.Generator, n_in: int, hidden: int) -> tuple:
+    """A head's ``(w, b, out_w, out_b)`` for ``n_in`` inputs, drawn in that order."""
+    return (fan_in_uniform(rng, n_in, hidden, n_in), fan_in_uniform(rng, n_in, hidden),
+            fan_in_uniform(rng, hidden, hidden), float(fan_in_uniform(rng, hidden, 1)[0]))
+
+
+def check_head(w: np.ndarray, b: np.ndarray, out_w: np.ndarray, n_in: int) -> None:
+    """ValueError unless the head's shapes are (h, n_in), (h,) and (h,) for one h."""
+    h = b.shape[0] if b.ndim == 1 else -1
+    if (w.shape, b.shape, out_w.shape) != ((h, n_in), (h,), (h,)):
+        raise ValueError(f"head shapes {w.shape}, {b.shape}, {out_w.shape} "
+                         f"are not (h, {n_in}), (h,), (h,)")
+
+
+def head_logit(x: np.ndarray, w: np.ndarray, b: np.ndarray, out_w: np.ndarray,
+               out_b: float) -> float:
+    hidden = np.maximum(w @ x + b, 0.0)
+    return float(out_w @ hidden + out_b)
+
+
+def head_loss_and_grads(x: np.ndarray, w: np.ndarray, b: np.ndarray, out_w: np.ndarray,
+                        out_b: float, labels) -> tuple[float, np.ndarray, tuple]:
+    """Cross-entropy summed over a (B, n_in) batch ``x``, its derivative by the
+    (B, h) hidden pre-activations, and the batch's summed (w, b, out_w, out_b) gradients."""
+    hidden_pre = x @ w.T + b
+    hidden = np.maximum(hidden_pre, 0.0)
+    loss, dlogits = bce_loss_and_dlogits(hidden @ out_w + out_b,
+                                         np.asarray(labels, dtype=np.float64))
+    dhidden_pre = dlogits[:, None] * out_w * (hidden_pre > 0.0)
+    return loss, dhidden_pre, (dhidden_pre.T @ x, dhidden_pre.sum(axis=0), dlogits @ hidden,
+                               float(dlogits.sum()))
 
 
 def sigmoid(x: float) -> float:

@@ -380,6 +380,12 @@ CORRUPTIONS = [
     ("cnn_header_ints", "v1", "cnn.params",
      _replace("simfuse-cnn v1 1 2 2 2", "simfuse-cnn v1 1 2 two 2"),
      "cnn.params: line 1: a header size must be an integer"),
+    ("cnn_zero_filters", "v1", "cnn.params",
+     _replace("simfuse-cnn v1 1 2 2 2", "simfuse-cnn v1 0 2 2 2"),
+     "cnn.params: line 1: header sizes must be >= 1, got [0, 2, 2, 2]"),
+    ("cnn_negative_hidden", "v1", "cnn.params",
+     _replace("simfuse-cnn v1 1 2 2 2", "simfuse-cnn v1 1 2 2 -2"),
+     "cnn.params: line 1: header sizes must be >= 1, got [1, 2, 2, -2]"),
     ("cnn_nan_same_count", "v1", "cnn.params", _replace("filters 0.5 ", "filters nan "),
      "cnn.params: line 3: non-finite value"),
     ("stats_total_pairs", "v1", "stats.tsv", _replace("#total_pairs=3", "#total_pairs=three"),
@@ -390,6 +396,9 @@ CORRUPTIONS = [
      "stats.tsv: document frequency out of range"),
     ("fusion_non_numeric", "v1", "fusion.params", _replace("hidden_b 0 1", "hidden_b 0 one"),
      "fusion.params: line 4: non-numeric value"),
+    ("fusion_no_hidden_units", "v1", "fusion.params",
+     _replace(GOLDEN["fusion.params"].split("\n", 2)[2], "hidden_w\nhidden_b\nout_w\nout_b 0.7\n"),
+     "fusion.params: line 4: hidden_b has no values"),
     ("fusion_weights_sum", "v1", "fusion.params", _replace("0.25 0.5 0.25", "0.5 0.5 0.5"),
      "fusion.params: fusion weights must sum to 1"),
     ("fusion_inconsistent_shapes", "v1", "fusion.params", _replace("out_w 2 -3", "out_w 2 -3 4"),

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 from dataclasses import replace
 
@@ -483,6 +484,37 @@ class TestBatchAgainstGridOracle:
         for name in ("filters", "filter_bias", "dense_w", "dense_b", "out_w", "out_b"):
             got, expected = np.asarray(getattr(params, name)), np.asarray(getattr(want, name))
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+
+def oracle_init_params(dim, n_filters, kernel_width, hidden, seed):
+    """init_params with its own fan-in closure, drawing field by field: the
+    reference the shared head's initialization must match bit for bit."""
+    rng = np.random.default_rng(seed)
+
+    def uniform(fan_in, *shape):
+        bound = 1.0 / math.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    return CnnParams(
+        filters=uniform(kernel_width * dim, n_filters, kernel_width, dim),
+        filter_bias=uniform(kernel_width * dim, n_filters),
+        dense_w=uniform(2 * n_filters, hidden, 2 * n_filters),
+        dense_b=uniform(2 * n_filters, hidden),
+        out_w=uniform(hidden, hidden),
+        out_b=float(uniform(hidden, 1)[0]),
+        rng_seed=seed,
+    )
+
+
+@pytest.mark.parametrize("dim, n_filters, kernel_width, hidden, seed", [
+    (3, 4, 2, 3, 9), (1, 1, 1, 1, 0), (100, 32, 3, 16, 0), (7, 5, 4, 2, 123), (2, 3, 5, 9, 7)])
+def test_init_params_equals_the_oracle_bitwise(dim, n_filters, kernel_width, hidden, seed):
+    got = init_params(dim, n_filters, kernel_width, hidden, seed)
+    want = oracle_init_params(dim, n_filters, kernel_width, hidden, seed)
+    assert got.rng_seed == want.rng_seed
+    for name in ("filters", "filter_bias", "dense_w", "dense_b", "out_w", "out_b"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 class TestTrainConfig:

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from simfuse.cnn import TrainConfig, max_relative_error
 from simfuse.errors import ConfigError, DegenerateData, FormatError, SimfuseError
 from simfuse.fusion import (_NET_SECTIONS, DIFFERENT, LEARNED, SIMILAR, WEIGHTED_SUM,
-                            FusionNet, FusionParams, FusionWeights, _net_logit,
+                            FusionNet, FusionParams, FusionWeights,
                             _net_loss_and_grads, calibrate_weights, classify, fuse,
                             load_fusion_params, save_fusion_params,
                             scale_to_sts, train_fusion)
-from simfuse.nn import bce_from_logit, central_differences
+from simfuse.nn import bce_from_logit, bce_loss_and_dlogits, central_differences, head_logit, sgd
 
 from toy import DEFAULT_WEIGHTS
 
@@ -157,6 +158,59 @@ class TestTrainFusion:
                          TrainConfig(learning_rate=1e300, epochs=20))
 
 
+def oracle_net_loss_and_grads(net, triples, labels):
+    """The combiner's batch loss and gradients, written out without the shared head."""
+    hidden_pre = triples @ net.hidden_w.T + net.hidden_b
+    hidden = np.maximum(hidden_pre, 0.0)
+    loss, dlogits = bce_loss_and_dlogits(hidden @ net.out_w + net.out_b, labels)
+    dhidden = dlogits[:, None] * net.out_w * (hidden_pre > 0.0)
+    grads = {
+        "hidden_w": dhidden.T @ triples,
+        "hidden_b": dhidden.sum(axis=0),
+        "out_w": dlogits @ hidden,
+        "out_b": float(dlogits.sum()),
+    }
+    return loss, grads
+
+
+def oracle_train_fusion(triples, labels, weights, config):
+    """train_fusion with its own initialization draws and the oracle loss,
+    driven through the shared SGD loop: the reference train_fusion must
+    match bit for bit."""
+    inputs = weights.as_array() * np.asarray(triples, dtype=np.float64)
+    target = np.asarray(labels, dtype=np.float64)
+    rng = np.random.default_rng(config.seed)
+    h = 4
+    bound_in, bound_out = 1.0 / math.sqrt(3), 1.0 / math.sqrt(h)
+    net = FusionNet(
+        hidden_w=rng.uniform(-bound_in, bound_in, size=(h, 3)),
+        hidden_b=rng.uniform(-bound_in, bound_in, size=h),
+        out_w=rng.uniform(-bound_out, bound_out, size=h),
+        out_b=float(rng.uniform(-bound_out, bound_out, size=1)[0]),
+    )
+    return sgd(net, lambda p, idx: oracle_net_loss_and_grads(p, inputs[idx], target[idx]),
+               len(inputs), config, rng)
+
+
+@pytest.mark.parametrize("n, config", [
+    (48, TrainConfig(learning_rate=0.5, epochs=6, batch_size=16, seed=11)),
+    (37, TrainConfig(learning_rate=0.2, epochs=10, batch_size=16, seed=0)),
+    (9, TrainConfig(learning_rate=0.05, epochs=3, batch_size=4, seed=3)),
+    (5, TrainConfig(learning_rate=1.0, epochs=4, batch_size=1, seed=8)),
+], ids=["full-batches", "perfbench-settings", "partial-batches", "single-examples"])
+def test_train_fusion_equals_the_oracle_bitwise(n, config):
+    rng = np.random.default_rng(n)
+    triples = [tuple(row) for row in rng.uniform(0.0, 1.0, size=(n, 3))]
+    labels = [float(i % 2) for i in range(n)]
+    weights = FusionWeights(alpha=0.3, beta=0.5, gamma=0.2)
+    params, losses = train_fusion(triples, labels, weights, config)
+    want, want_losses = oracle_train_fusion(triples, labels, weights, config)
+    assert losses == want_losses
+    for name in _NET_SECTIONS:
+        a, b = np.asarray(getattr(params.net, name)), np.asarray(getattr(want, name))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
 def _random_net(rng, hidden=4):
     return FusionNet(hidden_w=rng.normal(size=(hidden, 3)), hidden_b=rng.normal(size=hidden),
                      out_w=rng.normal(size=hidden), out_b=float(rng.normal()))
@@ -166,7 +220,8 @@ def _numeric_net_gradients(net, triples, labels, epsilon):
     """Central differences of the batch's summed cross-entropy, computed
     from the scoring path's logit one triple at a time."""
     return central_differences(net, _NET_SECTIONS, epsilon, lambda params: sum(
-        bce_from_logit(_net_logit(params, t), y) for t, y in zip(triples, labels)))
+        bce_from_logit(head_logit(t, params.hidden_w, params.hidden_b, params.out_w, params.out_b),
+                       y) for t, y in zip(triples, labels)))
 
 
 class TestCombinerGradients:

@@ -1,14 +1,17 @@
 """The shared training machinery: logistic output, cross-entropy on a
-logit, and the mini-batch SGD loop used by the CNN and the combiner."""
+logit, the mini-batch SGD loop used by the CNN and the combiner, and the
+shape check of the fully connected head both end in."""
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from simfuse.cnn import init_params
 from simfuse.errors import DegenerateData
-from simfuse.fusion import FusionWeights, train_fusion
+from simfuse.fusion import FusionNet, FusionWeights, train_fusion
 from simfuse.nn import TrainConfig, bce_from_logit, bce_loss_and_dlogits, sgd, sigmoid
 
 
@@ -172,3 +175,17 @@ def test_combiner_training_equals_the_hand_written_loop_on_full_batches():
     np.testing.assert_allclose(net.out_w, out_w, rtol=1e-12, atol=0)
     assert net.out_b == pytest.approx(out_b, rel=1e-12, abs=0)
     np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: replace(init_params(dim=2, n_filters=2, kernel_width=2, hidden=3),
+                     dense_w=np.zeros((3, 5))),
+     "head shapes (3, 5), (3,), (3,) are not (h, 4), (h,), (h,)"),
+    (lambda: FusionNet(np.zeros((2, 3)), np.zeros(2), np.zeros(3), 0.0),
+     "head shapes (2, 3), (2,), (3,) are not (h, 3), (h,), (h,)"),
+    (lambda: FusionNet(np.zeros((2, 3)), np.zeros(()), np.zeros(2), 0.0),
+     "head shapes (2, 3), (), (2,) are not (h, 3), (h,), (h,)"),
+], ids=["cnn-dense-width", "fusion-out-length", "fusion-scalar-bias"])
+def test_a_misshapen_head_is_one_value_error_in_either_net(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

@@ -279,7 +279,7 @@ _BAD_SETTINGS = {
              (True, f"{key} must be an integer, got True")]
        for key, minimum in _INT_SETTINGS.items()},
     "learning_rate": [(value, f"learning_rate must be positive and finite, got {value!r}")
-                      for value in ("0.1", None, 0, -0.1, float("nan"), float("inf"))],
+                      for value in ("0.1", None, 0, -0.1, float("nan"), float("inf"), True)],
     **{key: [(value, f"unknown {key} {value!r}") for value in ("vibes", None, choices[0].upper())]
        for key, choices in (("fusion_mode", FUSION_MODES),
                             ("weighting_factor", CALIBRATION_FACTORS),
