@@ -31,7 +31,7 @@ import numpy as np
 from .attention import weighted_pair_matrices
 from .corpus import BINARY, Dataset
 from .embedding import EmbeddingTable, format_row, parse_int, parse_row, read_sections
-from .errors import FormatError, LabelKindError
+from .errors import FormatError, LabelKindError, check_int
 from .nn import (TrainConfig, bce_from_logit, central_differences, check_finite, check_head,
                  fan_in_uniform, head_logit, head_loss_and_grads, init_head, sigmoid, sgd)
 
@@ -59,6 +59,8 @@ class CnnParams:
 
     def __post_init__(self):
         f, k, d = self.filters.shape
+        if min(f, k, d) < 1:
+            raise ValueError(f"filter sizes must be >= 1, got {self.filters.shape}")
         if self.filter_bias.shape != (f,):
             raise ValueError("filter_bias shape mismatch")
         check_head(self.dense_w, self.dense_b, self.out_w, 2 * f)
@@ -85,7 +87,12 @@ class CnnParams:
 def init_params(dim: int, n_filters: int = DEFAULT_FILTERS,
                 kernel_width: int = DEFAULT_KERNEL_WIDTH,
                 hidden: int = DEFAULT_HIDDEN, seed: int = 0) -> CnnParams:
-    """Uniform fan-in-scaled initialization, deterministic for a seed."""
+    """Uniform fan-in-scaled initialization, deterministic for a seed; a size
+    below 1 or a negative seed is a ConfigError before any draw."""
+    for key, size in (("dim", dim), ("n_filters", n_filters), ("kernel_width", kernel_width),
+                      ("hidden", hidden)):
+        check_int(key, size, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     filters = fan_in_uniform(rng, kernel_width * dim, n_filters, kernel_width, dim)
     filter_bias = fan_in_uniform(rng, kernel_width * dim, n_filters)

@@ -187,12 +187,6 @@ def save_text_embeddings(table: EmbeddingTable, stream: IO[str]) -> None:
         stream.write(format_row(surface, table.vectors[surface]))
 
 
-def save_vocab(surfaces: Iterable[str], stream: IO[str]) -> None:
-    """One surface per line; exact, since no surface holds a line break (the
-    word2vec reader splits surfaces at whitespace)."""
-    stream.writelines(f"{surface}\n" for surface in surfaces)
-
-
 def load_vocab(stream: IO[str]) -> list[str]:
     """The surfaces of a vocab file, in order; FormatError naming the line
     of a surface that repeats."""

@@ -57,11 +57,11 @@ def init_head(rng: np.random.Generator, n_in: int, hidden: int) -> tuple:
 
 
 def check_head(w: np.ndarray, b: np.ndarray, out_w: np.ndarray, n_in: int) -> None:
-    """ValueError unless the head's shapes are (h, n_in), (h,) and (h,) for one h."""
-    h = b.shape[0] if b.ndim == 1 else -1
+    """ValueError unless the head's shapes are (h, n_in), (h,) and (h,) for one h >= 1."""
+    h = b.shape[0] if b.ndim == 1 and len(b) else -1
     if (w.shape, b.shape, out_w.shape) != ((h, n_in), (h,), (h,)):
         raise ValueError(f"head shapes {w.shape}, {b.shape}, {out_w.shape} "
-                         f"are not (h, {n_in}), (h,), (h,)")
+                         f"are not (h, {n_in}), (h,), (h,) for an h >= 1")
 
 
 def head_logit(x: np.ndarray, w: np.ndarray, b: np.ndarray, out_w: np.ndarray,

@@ -25,7 +25,7 @@ from typing import IO, Iterator
 from . import attention, cnn, fusion, jaccard, metrics, tfidf
 from .corpus import BINARY, Dataset, LabeledPair
 from .embedding import (EmbeddingTable, check_n_max, load_npy_table, load_text_embeddings,
-                        load_vocab, parse_int, save_npy_table, save_vocab)
+                        load_vocab, parse_int, save_npy_table)
 from .errors import (ConfigError, DimensionError, EmptyEval, FormatError, SimfuseError,
                      check_choice)
 from .nn import TrainConfig
@@ -184,20 +184,8 @@ V1_EMBEDDINGS = "embeddings.txt"
 _HASH_BLOCK = 1 << 20
 _HEX_DIGEST = re.compile("[0-9a-f]{64}")
 
-# (file name, writer, reader) per text file of both bundle formats: a writer
-# saves its part of a bundle to a stream, a reader returns the ModelBundle
-# fields it restores.
-_PARAM_FILES = (
-    ("cnn.params", lambda b, f: cnn.save_cnn_params(b.cnn_params, f),
-     lambda f: {"cnn_params": cnn.load_cnn_params(f)}),
-    ("fusion.params", lambda b, f: fusion.save_fusion_params(b.weights, b.fusion_params, f),
-     lambda f: dict(zip(("weights", "fusion_params"), fusion.load_fusion_params(f)))),
-    ("stats.tsv", lambda b, f: save_stats(b.stats, f),
-     lambda f: {"stats": load_stats(f)}),
-)
-_V1_TABLE_FILE = (V1_EMBEDDINGS, None, lambda f: {"table": load_text_embeddings(f)})
 # the files manifest.tsv holds a sha256 of, in its order
-HASHED_FILES = tuple(name for name, _, _ in _PARAM_FILES) + (VOCAB, MATRIX)
+HASHED_FILES = ("cnn.params", "fusion.params", "stats.tsv", VOCAB, MATRIX)
 
 
 @contextmanager
@@ -222,26 +210,31 @@ def _sha256(path: Path) -> str:
 
 
 def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
-    """Write a v2 bundle; output is byte-deterministic.
-
-    manifest.tsv is written last.  Saving into a directory that holds a v1
-    bundle migrates it: the manifest makes load_bundle read v2, and the old
-    embeddings.txt is left in place, unread.
+    """Write a v2 bundle, in load_bundle's read order with manifest.tsv last;
+    output is byte-deterministic.  A table surface holding a line break, which
+    vocab.txt would not read back, is a FormatError before any file is written.
+    Saving into a directory that holds a v1 bundle migrates it: the manifest
+    makes load_bundle read v2, and the old embeddings.txt is left in place, unread.
     """
+    surfaces = sorted(bundle.table.vectors)
+    vocab = "".join(f"{surface}\n" for surface in surfaces)
+    if vocab.splitlines() != surfaces:
+        bad = next(s for s in surfaces if f"{s}\n".splitlines() != [s])
+        raise FormatError(f"{VOCAB}: surface {bad!r} holds a line break")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, writer, _ in _PARAM_FILES:
-        with open(directory / name, "w", encoding="utf-8", newline="\n") as f:
-            writer(bundle, f)
-    surfaces = sorted(bundle.table.vectors)
-    with open(directory / VOCAB, "w", encoding="utf-8", newline="\n") as f:
-        save_vocab(surfaces, f)
+    with open(directory / "cnn.params", "w", encoding="utf-8", newline="\n") as f:
+        cnn.save_cnn_params(bundle.cnn_params, f)
+    with open(directory / "fusion.params", "w", encoding="utf-8", newline="\n") as f:
+        fusion.save_fusion_params(bundle.weights, bundle.fusion_params, f)
+    with open(directory / "stats.tsv", "w", encoding="utf-8", newline="\n") as f:
+        save_stats(bundle.stats, f)
+    (directory / VOCAB).write_text(vocab, encoding="utf-8", newline="\n")
     with open(directory / MATRIX, "wb") as f:
         save_npy_table(bundle.table, surfaces, f)
     lines = [BUNDLE_FORMAT, f"n_max\t{bundle.n_max}"]
     lines += [f"sha256\t{name}\t{_sha256(directory / name)}" for name in HASHED_FILES]
-    with open(directory / MANIFEST, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    (directory / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _read_manifest(path: Path) -> tuple[int, dict[str, str]]:
@@ -274,33 +267,32 @@ def _read_manifest(path: Path) -> tuple[int, dict[str, str]]:
     return n_max, digests
 
 
-def _read_text_files(directory: Path, files) -> dict:
-    fields: dict = {}
-    for name, _, reader in files:
-        with _naming(name), open(directory / name, encoding="utf-8") as f:
-            fields.update(reader(f))
-    return fields
+def _read(path: Path, parse):
+    """``parse`` of an open UTF-8 bundle text file; its errors name the file."""
+    with _naming(path.name), open(path, encoding="utf-8") as f:
+        return parse(f)
 
 
 def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
     """Load a bundle directory written by save_bundle, or a v1 bundle.
 
-    A bad ``n_max`` is a ConfigError, before any file is read.  A v2
-    bundle's ``n_max`` comes from its manifest, and one given here that
-    differs is a FormatError; each file's sha256 is checked against the
-    manifest before anything is parsed.  Without manifest.tsv the directory
-    is read as v1, with the ``n_max`` given here (DEFAULT_N_MAX when None).
-    A missing, malformed, non-finite or inconsistent file raises FormatError
-    naming it; CNN parameters of another dimension than the table's name cnn.params.
+    A bad ``n_max`` is a ConfigError, before any file is read.  Then each file is
+    read in turn, and the first fault raises FormatError naming it (a missing,
+    malformed, non-finite or inconsistent file; CNN parameters of another dimension
+    than the table's name cnn.params).  v2: manifest.tsv (whose ``n_max`` one given
+    here must equal), the sha256 of each file it lists, cnn.params, fusion.params,
+    stats.tsv, vocab.txt, embeddings.npy.  v1 (no manifest.tsv; ``n_max`` as given,
+    DEFAULT_N_MAX when None): embeddings.txt, cnn.params, fusion.params, stats.tsv.
     """
     if n_max is not None:
         check_n_max(n_max)
     directory = Path(directory)
-    if not (directory / MANIFEST).exists():
+    v2 = (directory / MANIFEST).exists()
+    if not v2:
         if not (directory / V1_EMBEDDINGS).exists():
             raise FormatError(f"{MANIFEST}: not in {directory}, and neither is a v1 "
                               f"{V1_EMBEDDINGS}")
-        fields = _read_text_files(directory, (_V1_TABLE_FILE,) + _PARAM_FILES)
+        table = _read(directory / V1_EMBEDDINGS, load_text_embeddings)
         n_max = cnn.DEFAULT_N_MAX if n_max is None else n_max
     else:
         with _naming(MANIFEST):
@@ -311,12 +303,15 @@ def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
             with _naming(name):
                 if _sha256(directory / name) != digests[name]:
                     raise FormatError(f"sha256 does not match {MANIFEST}")
-        fields = _read_text_files(directory, _PARAM_FILES)
-        with _naming(VOCAB), open(directory / VOCAB, encoding="utf-8") as f:
-            vocab = load_vocab(f)
-        with _naming(MATRIX), open(directory / MATRIX, "rb") as f:
-            fields["table"] = load_npy_table(f, vocab)
         n_max = saved_n_max
+    cnn_params = _read(directory / "cnn.params", cnn.load_cnn_params)
+    weights, fusion_params = _read(directory / "fusion.params", fusion.load_fusion_params)
+    stats = _read(directory / "stats.tsv", load_stats)
+    if v2:
+        vocab = _read(directory / VOCAB, load_vocab)
+        with _naming(MATRIX), open(directory / MATRIX, "rb") as f:
+            table = load_npy_table(f, vocab)
     # the one check ModelBundle makes: the CNN's dimension against the table's
     with _naming("cnn.params"):
-        return ModelBundle(n_max=n_max, **fields)
+        return ModelBundle(stats=stats, table=table, cnn_params=cnn_params, weights=weights,
+                           fusion_params=fusion_params, n_max=n_max)

@@ -179,6 +179,11 @@ class TestAttentionWeights:
         with pytest.raises(DimensionError):
             attention_weights(np.zeros(2), np.zeros(3), np.zeros(1), np.zeros(1))
 
+    def test_column_length_mismatch_names_both_shapes(self):
+        with pytest.raises(DimensionError,
+                           match=r"^column vector lengths differ: \(2,\) vs \(3,\)$"):
+            attention_weights(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(3))
+
 
 class TestApplyAttention:
     def test_uniform_scaling(self):

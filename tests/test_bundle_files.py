@@ -5,6 +5,7 @@ literal bytes, and the errors a corrupt bundle or pair file gives through
 import dataclasses
 import hashlib
 import io
+import re
 import struct
 
 import numpy as np
@@ -235,6 +236,28 @@ class TestEmbeddingsRoundTrip:
                                               f"of 'w{BLOCK_ROWS + 7}'$"):
             load_bundle(tmp_path)
 
+    # vocab.txt holds one surface per line, and str.splitlines reads it back:
+    # a surface with a line break in it would come back split or changed
+    @pytest.mark.parametrize("surface", ["a\x85b", "a\u2028b", "a\x0bb", "a\r"])
+    def test_a_surface_with_a_line_break_is_refused_before_any_file_is_written(
+            self, tmp_path, surface):
+        vectors = {"b": np.array([0.1, -2.0]), surface: np.array([1e-300, 3.0])}
+        bundle = dataclasses.replace(tiny_bundle(), table=EmbeddingTable(dim=2, vectors=vectors))
+        message = f"vocab.txt: surface {surface!r} holds a line break"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            save_bundle(bundle, tmp_path / "model")
+        assert not (tmp_path / "model").exists()
+
+    def test_the_empty_surface_round_trips(self, tmp_path):
+        vectors = {"": np.array([0.1, -2.0]), "a": np.array([1e-300, 3.0])}
+        save_bundle(dataclasses.replace(
+            tiny_bundle(), table=EmbeddingTable(dim=2, vectors=vectors)), tmp_path)
+        assert (tmp_path / "vocab.txt").read_bytes() == b"\na\n"
+        back = load_bundle(tmp_path).table.vectors
+        assert sorted(back) == ["", "a"]
+        for word, vec in vectors.items():
+            assert _bitwise_equal(back[word], vec), word
+
 
 @pytest.fixture(scope="module")
 def trained_bundle():
@@ -426,6 +449,15 @@ CORRUPTIONS = [
      "fusion.params: missing fusion net sections: ['hidden_b']"),
     ("cnn_dimension_mismatch", "v1", "cnn.params", _dim_4_cnn_params,
      "cnn.params: CNN filters of dimension 4 do not match the embedding table's dimension 2"),
+    ("cnn_empty", "v1", "cnn.params", _replace(GOLDEN["cnn.params"], ""),
+     "cnn.params: empty CNN parameter file"),
+    ("fusion_header_only", "v1", "fusion.params",
+     _replace(GOLDEN["fusion.params"], "simfuse-fusion v1\n"),
+     "fusion.params: fusion parameter file missing the weight triple"),
+    ("stats_without_header", "v1", "stats.tsv", _replace("#total_pairs=3\n", ""),
+     "stats.tsv: stats file must start with a #total_pairs= header"),
+    ("stats_line_without_a_tab", "v1", "stats.tsv", _replace("x\t1", "x 1"),
+     "stats.tsv: line 2: expected term<TAB>doc_freq"),
     # v2: every file truncated, flipped and deleted
     *[(f"v2_{name}_{how}", "v2", name, corrupt,
        f"{name}: [Errno 2] No such file or directory" if how == "deleted"
@@ -556,6 +588,29 @@ def test_corrupt_bundle_file_exits_1_with_one_error_line(scoring_inputs, tmp_pat
     assert message in lines[0]
 
 
+# load_bundle's read order per version and phase: with every file from the
+# k-th on made unreadable, the error names the k-th.  A v2 file altered
+# without its manifest line fails the sha256 phase, one rehashed the parse phase.
+READ_ORDER = {
+    "v1": ("embeddings.txt", "cnn.params", "fusion.params", "stats.tsv"),
+    "v2_sha256": ("manifest.tsv", "cnn.params", "fusion.params", "stats.tsv", "vocab.txt",
+                  "embeddings.npy"),
+    "v2_parse": ("cnn.params", "fusion.params", "stats.tsv", "vocab.txt", "embeddings.npy"),
+}
+
+
+@pytest.mark.parametrize("order, first", [(order, k) for order, names in READ_ORDER.items()
+                                          for k in range(len(names))])
+def test_of_several_bad_files_the_first_one_read_is_reported(tmp_path, order, first):
+    (save_v1_bundle if order == "v1" else save_bundle)(tiny_bundle(), tmp_path)
+    names = READ_ORDER[order]
+    # the manifest, first in the list, is corrupted after the files it lists
+    for name in reversed(names[first:]):
+        (_rehashed(_non_utf8) if order == "v2_parse" else _non_utf8)(tmp_path / name)
+    with pytest.raises(FormatError, match=f"^{re.escape(names[first])}: "):
+        load_bundle(tmp_path)
+
+
 def test_non_finite_score_names_the_pair(scoring_inputs, capsys):
     model, pairs = scoring_inputs
     pairs.write_text("p7\tb\tb\t1\np8\ta b\tb a\t1\np9\ta\ta\t0\n", encoding="utf-8")
@@ -577,6 +632,16 @@ def test_non_utf8_pair_file_exits_1_naming_the_file(scoring_inputs, capsys):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"error: {pairs}: not UTF-8 text (invalid start byte)"]
+
+
+def test_annotated_token_without_a_surface_exits_1_naming_the_line(scoring_inputs, capsys):
+    model, pairs = scoring_inputs
+    pairs.write_text("1\ta b\tb a\t1\n2\ta|N|SUBJ |N|SUBJ\tb\t0\n", encoding="utf-8")
+    assert _score(model, pairs) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {pairs}: line 2: empty surface in '|N|SUBJ'"]
 
 
 # Pairs scored with the golden bundle, and the frozen ``simfuse score``

@@ -402,6 +402,17 @@ class TestEval:
         assert status == 1
         assert "binary" in capsys.readouterr().err
 
+    def test_unparseable_graded_label_exits_1_naming_the_line(self, workdir, tmp_path,
+                                                                capsys):
+        out = _train(workdir)
+        graded_file = tmp_path / "g.tsv"
+        graded_file.write_text("1\ta b\tb c\t3.5\n2\ta\tb\tabc\n", encoding="utf-8")
+        capsys.readouterr()
+        status = main(["eval", "--model", str(out), "--pairs", str(graded_file), "--graded"])
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {graded_file}: line 2: unparseable graded label 'abc'"]
+
     def test_binary_eval_of_graded_file(self, workdir, tmp_path, capsys):
         out = _train(workdir)
         graded_file = tmp_path / "g.tsv"
@@ -476,6 +487,17 @@ class TestConfigFile:
         path.write_text("epochs = 0\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
+
+    def test_line_without_an_equals_sign_exits_1_naming_it(self, workdir, tmp_path, capsys):
+        _, pairs, embeddings, _ = workdir
+        path = tmp_path / "c.cfg"
+        path.write_text("epochs = 2\nseed 3\n", encoding="utf-8")
+        status = main(["train", "--pairs", str(pairs), "--embeddings", str(embeddings),
+                       "--out", str(tmp_path / "m"), "--config", str(path)])
+        assert status == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config line 2: expected key = value"]
+        assert not (tmp_path / "m").exists()
 
     def test_non_utf8_file_exits_1_naming_it(self, workdir, tmp_path, capsys):
         _, pairs, embeddings, _ = workdir

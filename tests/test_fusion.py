@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from simfuse.cnn import TrainConfig, max_relative_error
-from simfuse.errors import ConfigError, DegenerateData, FormatError, SimfuseError
+from simfuse.errors import (ConfigError, DegenerateData, DimensionError, FormatError,
+                            SimfuseError)
 from simfuse.fusion import (_NET_SECTIONS, DIFFERENT, LEARNED, SIMILAR, WEIGHTED_SUM,
                             FusionNet, FusionParams, FusionWeights,
                             _net_loss_and_grads, calibrate_weights, classify, fuse,
@@ -149,6 +150,11 @@ class TestTrainFusion:
         with pytest.raises(DegenerateData):
             train_fusion([(0.5, 0.5, 0.5)] * 4, [1.0] * 4, DEFAULT_WEIGHTS,
                          TrainConfig(epochs=1))
+
+    def test_more_labels_than_triples_rejected(self):
+        with pytest.raises(DimensionError,
+                           match="^triples and labels must have equal length$"):
+            train_fusion([(0.5, 0.5, 0.5)], [1.0, 0.0], DEFAULT_WEIGHTS, TrainConfig(epochs=1))
 
     def test_divergence_raises_instead_of_returning_nan_parameters(self):
         triples = [(0.9, 0.8, 0.7), (0.1, 0.2, 0.3), (0.8, 0.9, 0.6), (0.2, 0.1, 0.2)]

@@ -180,12 +180,26 @@ def test_combiner_training_equals_the_hand_written_loop_on_full_batches():
 @pytest.mark.parametrize("make, message", [
     (lambda: replace(init_params(dim=2, n_filters=2, kernel_width=2, hidden=3),
                      dense_w=np.zeros((3, 5))),
-     "head shapes (3, 5), (3,), (3,) are not (h, 4), (h,), (h,)"),
+     "head shapes (3, 5), (3,), (3,) are not (h, 4), (h,), (h,) for an h >= 1"),
     (lambda: FusionNet(np.zeros((2, 3)), np.zeros(2), np.zeros(3), 0.0),
-     "head shapes (2, 3), (2,), (3,) are not (h, 3), (h,), (h,)"),
+     "head shapes (2, 3), (2,), (3,) are not (h, 3), (h,), (h,) for an h >= 1"),
     (lambda: FusionNet(np.zeros((2, 3)), np.zeros(()), np.zeros(2), 0.0),
-     "head shapes (2, 3), (), (2,) are not (h, 3), (h,), (h,)"),
-], ids=["cnn-dense-width", "fusion-out-length", "fusion-scalar-bias"])
+     "head shapes (2, 3), (), (2,) are not (h, 3), (h,), (h,) for an h >= 1"),
+    # no hidden unit: learned-mode fuse would return sigmoid(out_b) for every triple
+    (lambda: FusionNet(np.zeros((0, 3)), np.zeros(0), np.zeros(0), 0.7),
+     "head shapes (0, 3), (0,), (0,) are not (h, 3), (h,), (h,) for an h >= 1"),
+    (lambda: replace(init_params(dim=2, n_filters=2, kernel_width=2, hidden=3),
+                     dense_w=np.zeros((0, 4)), dense_b=np.zeros(0), out_w=np.zeros(0)),
+     "head shapes (0, 4), (0,), (0,) are not (h, 4), (h,), (h,) for an h >= 1"),
+    (lambda: replace(init_params(dim=2, n_filters=2, kernel_width=2, hidden=3),
+                     filters=np.zeros((0, 2, 2)), filter_bias=np.zeros(0),
+                     dense_w=np.zeros((3, 0))),
+     "filter sizes must be >= 1, got (0, 2, 2)"),
+    (lambda: replace(init_params(dim=2, n_filters=2, kernel_width=2, hidden=3),
+                     filters=np.zeros((2, 0, 2))),
+     "filter sizes must be >= 1, got (2, 0, 2)"),
+], ids=["cnn-dense-width", "fusion-out-length", "fusion-scalar-bias", "fusion-no-hidden-unit",
+        "cnn-no-hidden-unit", "cnn-no-filter", "cnn-zero-kernel-width"])
 def test_a_misshapen_head_is_one_value_error_in_either_net(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()

@@ -270,7 +270,8 @@ class TestMonotonicityWithUntrainedParams:
 
 # Bad values of each setting, with the one message every entry point raises
 # for them: a value of the wrong type, one below the minimum, an unknown choice.
-_INT_SETTINGS = {"n_max": 1, "epochs": 1, "batch_size": 1, "seed": 0}
+_INT_SETTINGS = {"n_max": 1, "epochs": 1, "batch_size": 1, "seed": 0,
+                 "dim": 1, "n_filters": 1, "kernel_width": 1, "hidden": 1}
 _BAD_SETTINGS = {
     **{key: [(minimum - 1, f"{key} must be >= {minimum}, got {minimum - 1}"),
              (-3, f"{key} must be >= {minimum}, got -3"),
@@ -352,6 +353,10 @@ _ENTRY_POINTS = {
         "Dataset": lambda ctx, v: Dataset((), v),
     },
 }
+# init_params checks its sizes and its seed before it draws a value
+for _key in ("dim", "n_filters", "kernel_width", "hidden", "seed"):
+    _ENTRY_POINTS.setdefault(_key, {})["init_params"] = (
+        lambda ctx, v, key=_key: init_params(**{"dim": 3, key: v}))
 
 
 _SETTING_CASES = [(key, entry, value, message)

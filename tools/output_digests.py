@@ -10,10 +10,14 @@ script runs six cases: each benchmark workload's seed-1 inputs, written by
 ``perfbench/generate.py``, trained in both fusion modes with the
 benchmark's training settings (``perfbench/workloads.py``), then scored on
 the workload's test split.  Each run is ``python -m simfuse.cli`` with
-``PYTHONPATH=SRC_DIR`` in a temporary directory.  It prints one
-``sha256  case/file`` line for every bundle file, the ``train`` stdout and
-the ``score`` stdout.  Run it on two checkouts and ``diff`` the outputs;
-the same bytes give an empty diff.  Nothing under ``perfbench/`` or
+``PYTHONPATH=SRC_DIR`` in a temporary directory.  Each case's test split is
+also scored with a v1 copy of the trained bundle: its ``cnn.params``,
+``fusion.params`` and ``stats.tsv`` plus the case's input embeddings as
+``embeddings.txt``, with no manifest, so that the v1 read path is compared
+too.  It prints one ``sha256  case/file`` line for every bundle file, the
+``train`` stdout, the ``score`` stdout and the v1 ``score`` stdout
+(``score-v1.stdout``): 54 lines.  Run it on two checkouts and ``diff`` the
+outputs; the same bytes give an empty diff.  Nothing under ``perfbench/`` or
 ``SRC_DIR`` is written: children run without bytecode caches.
 """
 
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -29,6 +34,8 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 1
 MODES = ("weighted_sum", "learned")
+# the bundle files a v1 bundle shares with v2, byte for byte
+V1_PARAM_FILES = ("cnn.params", "fusion.params", "stats.tsv")
 
 
 def _run(args: list[str], env: dict[str, str]) -> bytes:
@@ -72,10 +79,20 @@ def main(argv: list[str]) -> int:
                                   "--config", str(cfg)], env)
                 score_out = _run(["-m", "simfuse.cli", "score", "--model", str(model),
                                   "--pairs", str(inputs / "test.tsv")], env)
+                v1 = Path(tmp) / f"{case}-v1"
+                v1.mkdir()
+                for part in V1_PARAM_FILES:
+                    shutil.copyfile(model / part, v1 / part)
+                shutil.copyfile(inputs / "embeddings.txt", v1 / "embeddings.txt")
+                # a v1 bundle records no n_max: it comes from the config
+                score_v1_out = _run(["-m", "simfuse.cli", "score", "--model", str(v1),
+                                     "--pairs", str(inputs / "test.tsv"), "--config", str(cfg)],
+                                    env)
                 for path in sorted(model.iterdir()):
                     print(f"{_digest(path.read_bytes())}  {case}/{path.name}")
                 print(f"{_digest(train_out)}  {case}/train.stdout")
-                print(f"{_digest(score_out)}  {case}/score.stdout", flush=True)
+                print(f"{_digest(score_out)}  {case}/score.stdout")
+                print(f"{_digest(score_v1_out)}  {case}/score-v1.stdout", flush=True)
     return 0
 
 
