@@ -107,10 +107,12 @@ def apply_attention(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return matrix * weights[:, np.newaxis]
 
 
-def weighted_pair_matrices(a: Sentence, b: Sentence, table: EmbeddingTable,
-                           n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full attention pipeline for one pair: embed both sentences, build the
-    cosine grid and position terms, softmax, and weight the matrices.
+def pair_attention(a: Sentence, b: Sentence, table: EmbeddingTable,
+                   n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Attention for one pair, before it is applied: embed both sentences,
+    build the cosine grid and position terms, and softmax them.  Returns
+    ``(mat_a, row_weights, mat_b, col_weights)``, each matrix with one weight
+    per row.
 
     Sentences are truncated to ``n_max`` tokens up front so the similarity
     grid, position vectors and matrices all agree on token counts.
@@ -124,4 +126,12 @@ def weighted_pair_matrices(a: Sentence, b: Sentence, table: EmbeddingTable,
     row_vec, col_vec = marginal_sums(grid)
     pos_row, pos_col = position_weights(a, b)
     row_weights, col_weights = attention_weights(row_vec, pos_row, col_vec, pos_col)
+    return mat_a, row_weights, mat_b, col_weights
+
+
+def weighted_pair_matrices(a: Sentence, b: Sentence, table: EmbeddingTable,
+                           n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full attention pipeline for one pair: ``pair_attention``'s weights
+    applied to its matrices."""
+    mat_a, row_weights, mat_b, col_weights = pair_attention(a, b, table, n_max)
     return apply_attention(mat_a, row_weights), apply_attention(mat_b, col_weights)

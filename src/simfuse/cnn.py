@@ -14,10 +14,14 @@ Scoring runs one pair at a time: ``cnn_forward`` convolves each sentence's
 windows with one matmul and max-pools before the ReLU, which picks the
 same value as pooling after it, and keeps no intermediate values; the
 numeric gradients run the same forward pass.  Training runs one mini-batch
-at a time: ``cnn_train`` computes every training pair's attention-weighted
-matrices once, and ``loss_and_gradients`` stacks a batch's sentences into
-one token-row matrix, convolves all their windows at once and max-pools
-each sentence over its own windows, all in one gather and one argmax.
+at a time.  ``cnn_train`` runs every training pair's attention once and
+keeps no weighted matrix: it keeps one row store (a zero row for padding,
+then one embedded row per distinct truncated word of the training pairs)
+and, per sentence, its rows' store indices and attention weights.  A batch
+gathers its rows from the store and scales each by its weight, the products
+``apply_attention`` computes, into one stacked token-row matrix;
+``loss_and_gradients`` convolves all its windows at once and max-pools each
+sentence over its own windows, in one gather and one argmax.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .attention import weighted_pair_matrices
+# weighted_pair_matrices is not called here: the name stays bound because
+# perfbench/tests/test_perfbench.py looks it up on this module
+from .attention import pair_attention, weighted_pair_matrices  # noqa: F401
 from .corpus import BINARY, Dataset
 from .embedding import EmbeddingTable, format_row, parse_int, parse_row, read_sections
 from .errors import FormatError, LabelKindError, check_int
@@ -133,24 +139,37 @@ def cnn_forward(params: CnnParams, a: np.ndarray, b: np.ndarray) -> float:
     return sigmoid(_logit(params, a, b))
 
 
-def loss_and_gradients(params: CnnParams, pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-                       labels: Sequence[float]) -> tuple[float, dict]:
-    """Cross-entropy loss summed over a batch of (a, b) matrix pairs, and its
-    analytic parameter gradients, also summed over the batch.
-
-    One concatenate stacks the batch's sentences, each one shorter than ``k``
-    followed by the zero rows ``_windows`` pads it with.  Every window position
-    of the stack, straddling two sentences or not, is convolved at once, one
-    matmul per kernel row.  One gather and argmax over each sentence's own
-    windows find every filter's winner, for the value and the gradient.
-    """
-    k, n_filters = params.kernel_width, params.n_filters
+def stack_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked token rows of a batch of (a, b) matrix pairs and each
+    sentence's row count: the B first sentences, then the B second ones, each
+    one shorter than ``k`` followed by the zero rows ``_windows`` pads it with."""
     mats = [a for a, _ in pairs] + [b for _, b in pairs]
-    n_pairs = len(pairs)
-    pad = np.zeros((k, params.dim))
+    pad = np.zeros((k, mats[0].shape[1]))
     rows = np.concatenate([part for mat in mats for part in
                            ((mat,) if len(mat) >= k else (mat, pad[len(mat):]))])
-    lengths = np.maximum([len(mat) for mat in mats], k)
+    return rows, np.maximum([len(mat) for mat in mats], k)
+
+
+def loss_and_gradients(params: CnnParams, rows: np.ndarray, lengths: np.ndarray,
+                       labels: Sequence[float]) -> tuple[float, dict]:
+    """Cross-entropy loss summed over a batch of B pairs, and its analytic
+    parameter gradients, also summed over the batch.
+
+    ``rows`` stacks the batch's 2B sentences as ``stack_pairs`` lays them out
+    (the B first sentences, then the B second ones, each padded with zero rows
+    to at least ``k``), and ``lengths`` holds their padded row counts.  Every
+    window position of the stack, straddling two sentences or not, is
+    convolved at once, one matmul per kernel row.  One gather and argmax over
+    each sentence's own windows find every filter's winner, for the value and
+    the gradient.
+    """
+    k, n_filters = params.kernel_width, params.n_filters
+    lengths = np.asarray(lengths)
+    n_pairs = len(labels)
+    if len(lengths) != 2 * n_pairs or lengths.min() < k or lengths.sum() != len(rows):
+        raise ValueError(f"expected {2 * n_pairs} sentences of >= {k} rows stacking to "
+                         f"{len(rows)} rows, got lengths {lengths.tolist()}")
     starts = np.cumsum(lengths) - lengths
 
     # the k row-shifted views of the stack stand in for its windows, so
@@ -186,28 +205,66 @@ def loss_and_gradients(params: CnnParams, pairs: Sequence[tuple[np.ndarray, np.n
     return loss, grads
 
 
+def _row_store(dataset: Dataset, table: EmbeddingTable, n_max: int, k: int) -> tuple:
+    """The training pairs' rows as ``(store, ids, weights, lengths)``.
+
+    ``store`` holds a zero row, then each distinct truncated word's embedded
+    row once.  ``ids`` and ``weights`` hold every sentence's store indices
+    and attention weights, sentence after sentence (a's and b's
+    alternating), each sentence padded to ``k`` with index 0 and weight 0;
+    ``lengths`` holds each sentence's padded length.
+    """
+    store_index: dict[str, int] = {}
+    store_rows = [np.zeros(table.dim)]
+    ids, weights, lengths = [], [], []
+    for pair in dataset:
+        mat_a, weights_a, mat_b, weights_b = pair_attention(pair.a, pair.b, table, n_max)
+        for words, mat, mat_weights in ((pair.a.words, mat_a, weights_a),
+                                        (pair.b.words, mat_b, weights_b)):
+            for i, word in enumerate(words[: len(mat)]):
+                if word not in store_index:
+                    store_index[word] = len(store_rows)
+                    store_rows.append(mat[i].copy())  # a view would keep all of mat alive
+                ids.append(store_index[word])
+            pad = max(k - len(mat), 0)
+            ids += [0] * pad
+            weights += mat_weights.tolist() + [0.0] * pad
+            lengths.append(len(mat) + pad)
+    return np.array(store_rows), np.array(ids), np.array(weights), np.array(lengths)
+
+
 def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
               n_max: int = DEFAULT_N_MAX) -> tuple[CnnParams, list[float]]:
     """Mini-batch SGD on binary cross-entropy; deterministic for a seed.
 
-    Attention-weighted inputs are precomputed once (the attention stage
-    has no trainable parameters), and each batch passes its pairs' matrices
-    to ``loss_and_gradients``.  Returns the trained parameters and the mean
-    training loss per epoch.
+    Attention runs once per pair (it has no trainable parameters), and no
+    weighted matrix is kept: each batch gathers its sentences' rows from the
+    row store and scales them by their attention weights, the products
+    ``apply_attention`` computes, and passes them to ``loss_and_gradients``.
+    Returns the trained parameters and the mean training loss per epoch.
     """
     if dataset.label_kind != BINARY:
         raise LabelKindError("CNN training requires a binary-labeled dataset")
-    # Each pair keeps its own small matrices.  One (sum of lengths, d) matrix
-    # for the whole set would pass numpy's 4 MiB threshold for asking the
-    # kernel for huge pages, and the resident size of training would then
-    # vary with the kernel's huge-page supply from one run to the next.
-    inputs = [weighted_pair_matrices(pair.a, pair.b, table, n_max) for pair in dataset]
+    params = init_params(table.dim, seed=config.seed)
+    # The store grows with the training set's distinct words, not with its
+    # tokens times d: 3.1 MiB on the benchmark's largest training set, below
+    # numpy's 4 MiB threshold for asking the kernel for huge pages, whose
+    # supply would otherwise make the resident size of training vary between
+    # runs.
+    store, ids, weights, lengths = _row_store(dataset, table, n_max, params.kernel_width)
+    starts = np.cumsum(lengths) - lengths
     labels = np.array([pair.label for pair in dataset])
 
     def batch_loss_and_grads(params, idx):
-        return loss_and_gradients(params, [inputs[i] for i in idx], labels[idx])
+        sentences = np.concatenate([2 * idx, 2 * idx + 1])
+        batch_lengths = lengths[sentences]
+        # each stacked row's token: its sentence's start plus its place in it
+        tokens = np.arange(batch_lengths.sum()) + np.repeat(
+            starts[sentences] - (np.cumsum(batch_lengths) - batch_lengths), batch_lengths)
+        rows = store.take(ids.take(tokens), axis=0)
+        rows *= weights.take(tokens)[:, None]
+        return loss_and_gradients(params, rows, batch_lengths, labels[idx])
 
-    params = init_params(table.dim, seed=config.seed)
     return sgd(params, batch_loss_and_grads, len(dataset), config,
                np.random.default_rng(config.seed))
 
@@ -220,22 +277,26 @@ def numeric_gradients(params: CnnParams, a: np.ndarray, b: np.ndarray,
 
 
 def max_relative_error(analytic: dict, numeric: dict) -> float:
-    """Largest elementwise |ga - gn| / max(|ga|, |gn|, 1e-12) across tensors."""
+    """Largest elementwise |ga - gn| / max(|ga|, |gn|, 1e-12) across tensors;
+    a NaN error counts as inf."""
     worst = 0.0
     for name, num in numeric.items():
         ana = np.asarray(analytic[name], dtype=np.float64).reshape(num.shape)
         denom = np.maximum(np.maximum(np.abs(ana), np.abs(num)), 1e-12)
-        worst = max(worst, float(np.max(np.abs(ana - num) / denom)))
+        error = float(np.max(np.abs(ana - num) / denom))
+        # max(worst, nan) is worst: a NaN gradient would pass as a perfect one
+        worst = max(worst, math.inf if math.isnan(error) else error)
     return worst
 
 
 def gradient_check(params: CnnParams, example: tuple[np.ndarray, np.ndarray, float],
                    epsilon: float = 1e-4) -> float:
     """Worst-case relative error between analytic and numeric gradients."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     mat_a, mat_b, label = example
-    _, analytic = loss_and_gradients(params, [(mat_a, mat_b)], [label])
+    _, analytic = loss_and_gradients(params, *stack_pairs([(mat_a, mat_b)], params.kernel_width),
+                                     [label])
     numeric = numeric_gradients(params, mat_a, mat_b, label, epsilon)
     return max_relative_error(analytic, numeric)
 

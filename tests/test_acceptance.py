@@ -16,7 +16,7 @@ from simfuse.attention import attention_weights, edit_distance, marginal_sums, \
 from simfuse.cli import main as cli_main
 from simfuse.cnn import (TrainConfig, cnn_forward, cnn_train, gradient_check,
                          init_params, loss_and_gradients, max_relative_error,
-                         numeric_gradients)
+                         numeric_gradients, stack_pairs)
 from simfuse.corpus import Sentence
 from simfuse.fusion import (DIFFERENT, SIMILAR, FusionParams, calibrate_weights,
                             classify, fuse)
@@ -188,7 +188,8 @@ def test_criterion_3c_gradient_correctness():
 
     params = init_params(dim=3, n_filters=4, kernel_width=2, hidden=3, seed=7)
     a, b = random_matrix(4, 3), random_matrix(3, 3)
-    _, corrupted = loss_and_gradients(params, [(a, b)], [1.0])
+    _, corrupted = loss_and_gradients(params, *stack_pairs([(a, b)], params.kernel_width),
+                                      [1.0])
     corrupted = dict(corrupted)
     corrupted["out_b"] = np.array([corrupted["out_b"]])
     corrupted["filters"] = corrupted["filters"] + 0.05

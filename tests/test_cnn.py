@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,13 +12,13 @@ from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _windows,
                          cnn_forward, cnn_train, gradient_check, init_params,
                          load_cnn_params, loss_and_gradients,
                          max_relative_error, numeric_gradients,
-                         save_cnn_params)
-from simfuse.corpus import BINARY, GRADED, Dataset, Sentence
+                         save_cnn_params, stack_pairs)
+from simfuse.corpus import BINARY, GRADED, Dataset, LabeledPair, Sentence
 from simfuse.embedding import EmbeddingTable, embed_sentence
 from simfuse.errors import ConfigError, DegenerateData, LabelKindError
 from simfuse.nn import bce_from_logit, bce_loss_and_dlogits, sgd, sigmoid
 
-from toy import separable_toy_set
+from toy import separable_toy_set, toy_table
 
 
 def _matrix(rows):
@@ -108,7 +109,7 @@ BATCH_RTOL = 1e-12
 
 
 def _assert_matches_oracle(params, pairs, labels):
-    loss, grads = loss_and_gradients(params, pairs, labels)
+    loss, grads = loss_and_gradients(params, *stack_pairs(pairs, params.kernel_width), labels)
     want_loss, want = oracle_batch(params, pairs, labels)
     assert abs(loss - want_loss) <= BATCH_RTOL * abs(want_loss)
     assert set(grads) == set(want)
@@ -174,7 +175,7 @@ def grid_batch_oracle(params, pairs, labels):
 
 
 def _assert_matches_grid_oracle(params, pairs, labels):
-    loss, grads = loss_and_gradients(params, pairs, labels)
+    loss, grads = loss_and_gradients(params, *stack_pairs(pairs, params.kernel_width), labels)
     want_loss, want = grid_batch_oracle(params, pairs, labels)
     assert loss == want_loss
     assert set(grads) == set(want)
@@ -333,7 +334,8 @@ class TestGradients:
         rng = np.random.default_rng(8)
         a = _random_matrix(rng, 4, 3)
         b = _random_matrix(rng, 3, 3)
-        _, analytic = loss_and_gradients(small_params, [(a, b)], [1.0])
+        _, analytic = loss_and_gradients(
+            small_params, *stack_pairs([(a, b)], small_params.kernel_width), [1.0])
         analytic = dict(analytic)
         analytic["out_b"] = np.array([analytic["out_b"]])
         analytic["filters"] = analytic["filters"] + 0.05
@@ -345,6 +347,39 @@ class TestGradients:
         a = _random_matrix(rng, 2, 3)
         with pytest.raises(ValueError):
             gradient_check(small_params, (a, a, 1.0), epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_is_refused_before_any_difference(self, small_params, epsilon):
+        rng = np.random.default_rng(9)
+        a = _random_matrix(rng, 2, 3)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            gradient_check(small_params, (a, a, 1.0), epsilon=epsilon)
+
+    def test_a_nan_gradient_counts_as_an_infinite_error(self):
+        params = init_params(dim=3, n_filters=2, kernel_width=2, hidden=3, seed=9)
+        rng = np.random.default_rng(10)
+        a, b = _random_matrix(rng, 4, 3), _random_matrix(rng, 3, 3)
+        numeric = numeric_gradients(params, a, b, 1.0, epsilon=1e-4)
+        all_nan = {name: np.full_like(num, np.nan) for name, num in numeric.items()}
+        assert max_relative_error(all_nan, numeric) == math.inf
+        # one NaN entry in one tensor, after and before tensors that agree
+        for name in ("filters", "out_b"):
+            one_nan = {key: num.copy() for key, num in numeric.items()}
+            one_nan[name].flat[0] = np.nan
+            assert max_relative_error(one_nan, numeric) == math.inf
+        assert max_relative_error(numeric, numeric) == 0.0
+
+
+def test_loss_and_gradients_refuses_a_stack_its_lengths_do_not_describe(small_params):
+    rng = np.random.default_rng(24)
+    rows, lengths = stack_pairs([(_random_matrix(rng, 3, 3), _random_matrix(rng, 1, 3))], 2)
+    assert lengths.tolist() == [3, 2] and len(rows) == 5
+    for bad_rows, bad_lengths, labels in [
+            (rows, lengths, [1.0, 0.0]),   # two labels for one pair
+            (rows, [4, 1], [1.0]),         # a sentence shorter than the kernel
+            (rows[:4], lengths, [1.0])]:   # rows the lengths do not add up to
+        with pytest.raises(ValueError, match="sentences of >= 2 rows"):
+            loss_and_gradients(small_params, bad_rows, bad_lengths, labels)
 
 
 class TestBatchAgainstPerPairOracle:
@@ -412,6 +447,29 @@ class TestBatchAgainstPerPairOracle:
         assert params.out_b == pytest.approx(want.out_b, rel=BATCH_RTOL, abs=0)
 
 
+def word_reuse_set():
+    """Ten labeled pairs whose words the row store of ``cnn_train`` shares:
+    words repeated within a sentence and across pairs, OOV words (the
+    ``oov`` ones, also repeated), sentences shorter than the default kernel
+    width 3, and sentences longer than 5 words, for training with n_max 5."""
+    texts = [
+        ("w w w v", "v w v", 1.0),
+        ("oov1 w oov2", "oov2 x oov3 oov1", 0.0),
+        ("x", "w v y z", 0.0),
+        ("y z", "y", 1.0),
+        ("t0 t1 t2 t3 t4 t5 t6 t7", "t1 t2 w w v x y z", 1.0),
+        ("t3 t3 t3 t3 t3 t3 t3", "oov1 oov1 t3", 0.0),
+        ("v x", "x v", 1.0),
+        ("z y x w v t0 t1 t2 t3", "t0", 0.0),
+        ("oov4 oov5 w oov4 oov5 w", "oov5 oov4 w", 1.0),
+        ("t5 t6", "t6 t5 t4 t3 t2 t1", 0.0),
+    ]
+    pairs = tuple(LabeledPair(id=f"p{i}", a=Sentence(a.split()), b=Sentence(b.split()),
+                              label=label) for i, (a, b, label) in enumerate(texts))
+    table = toy_table(["w", "v", "x", "y", "z"] + [f"t{i}" for i in range(8)], dim=6, seed=17)
+    return Dataset(pairs=pairs, label_kind=BINARY), table
+
+
 class TestBatchAgainstGridOracle:
     """loss_and_gradients against the grid oracle, bit for bit: the loss and
     every gradient tensor's dtype, shape and bytes."""
@@ -468,13 +526,17 @@ class TestBatchAgainstGridOracle:
         grads = _assert_matches_grid_oracle(params, pairs, [0.0, 1.0, 0.0])
         assert np.any(grads["filters"][:, :, 1] != 0.0)
 
-    def test_cnn_train_ending_each_epoch_with_a_partial_batch(self):
+    @pytest.mark.parametrize("training_set, n_max", [
+        (separable_toy_set(n_per_class=5, dim=8), DEFAULT_N_MAX),
+        (word_reuse_set(), 5)], ids=["separable", "word_reuse"])
+    def test_cnn_train_ending_each_epoch_with_a_partial_batch(self, training_set, n_max):
         # 10 pairs in batches of 4: the last batch of each epoch holds 2
-        dataset, table = separable_toy_set(n_per_class=5, dim=8)
+        dataset, table = training_set
+        assert len(dataset) == 10
         config = TrainConfig(learning_rate=0.2, epochs=4, batch_size=4, seed=6)
-        params, losses = cnn_train(dataset, table, config)
+        params, losses = cnn_train(dataset, table, config, n_max=n_max)
 
-        inputs = [weighted_pair_matrices(p.a, p.b, table, DEFAULT_N_MAX) for p in dataset]
+        inputs = [weighted_pair_matrices(p.a, p.b, table, n_max) for p in dataset]
         labels = np.array([p.label for p in dataset])
         want, want_losses = sgd(
             init_params(table.dim, seed=config.seed),
@@ -639,3 +701,24 @@ class TestParamsValidation:
                 out_w=good.out_w,
                 out_b=good.out_b,
             )
+
+
+def test_cnn_train_keeps_no_weighted_matrix_per_sentence():
+    # 300 pairs of 2 x 20 tokens from a 60-word vocabulary at dim 64: their
+    # weighted matrices would take 5.86 MiB, while their distinct rows take 31 KiB
+    vocab = [f"word{i}" for i in range(60)]
+    rng = np.random.default_rng(23)
+    pairs = tuple(
+        LabeledPair(id=str(i), a=Sentence(rng.choice(vocab, 20).tolist()),
+                    b=Sentence(rng.choice(vocab, 20).tolist()), label=float(i % 2))
+        for i in range(300))
+    dataset, table = Dataset(pairs=pairs, label_kind=BINARY), toy_table(vocab, dim=64)
+    weighted_bytes = sum(len(p.a) + len(p.b) for p in pairs) * table.dim * 8
+    assert weighted_bytes == 6_144_000
+    tracemalloc.start()
+    try:
+        cnn_train(dataset, table, TrainConfig(epochs=1, batch_size=16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < weighted_bytes / 2, f"traced peak {peak / 2**20:.2f} MiB"
