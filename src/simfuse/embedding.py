@@ -52,9 +52,10 @@ class EmbeddingTable:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("embedding dimension must be >= 1")
+        shape = (self.dim,)
         for surface, vec in self.vectors.items():
-            if vec.shape != (self.dim,):
-                raise ValueError(f"vector for {surface!r} has shape {vec.shape}, expected ({self.dim},)")
+            if vec.shape != shape:
+                raise ValueError(f"vector for {surface!r} has shape {vec.shape}, expected {shape}")
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -181,9 +182,15 @@ def load_text_embeddings(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
 
 
 def save_text_embeddings(table: EmbeddingTable, stream: IO[str]) -> None:
-    """Write a table back out in the text format (sorted, with header)."""
-    stream.write(f"{len(table.vectors)} {table.dim}\n")
-    for surface in sorted(table.vectors):
+    """Write a table back out in the text format (sorted, with header).  A
+    surface that is empty or holds whitespace, which load_text_embeddings
+    would not read back, is a FormatError before any line is written."""
+    surfaces = sorted(table.vectors)
+    bad = next((surface for surface in surfaces if surface.split() != [surface]), None)
+    if bad is not None:
+        raise FormatError(f"surface {bad!r} is empty or holds whitespace")
+    stream.write(f"{len(surfaces)} {table.dim}\n")
+    for surface in surfaces:
         stream.write(format_row(surface, table.vectors[surface]))
 
 
@@ -191,11 +198,12 @@ def load_vocab(stream: IO[str]) -> list[str]:
     """The surfaces of a vocab file, in order; FormatError naming the line
     of a surface that repeats."""
     surfaces = stream.read().splitlines()
-    seen: set[str] = set()
-    for lineno, surface in enumerate(surfaces, start=1):
-        if surface in seen:
-            raise FormatError(f"line {lineno}: repeated surface {surface!r}")
-        seen.add(surface)
+    if len(set(surfaces)) < len(surfaces):  # walk the lines only to name the first repeat
+        seen: set[str] = set()
+        for lineno, surface in enumerate(surfaces, start=1):
+            if surface in seen:
+                raise FormatError(f"line {lineno}: repeated surface {surface!r}")
+            seen.add(surface)
     return surfaces
 
 
@@ -215,14 +223,18 @@ def load_npy_table(stream: BinaryIO, surfaces: Sequence[str]) -> EmbeddingTable:
     """The table whose vector for ``surfaces[i]`` is row ``i`` of an npy 1.0
     file as save_npy_table writes it.
 
-    The header is checked before any data is read, so neither an object
-    dtype (which would need unpickling) nor a shape larger than the file
-    gets that far.  The rows are read BLOCK_ROWS at a time, and each vector
-    is a row of its block, as load_text_embeddings stores them.  One
-    ``(V, d)`` array instead added a table's size to the peak memory of a
-    process that loads tables repeatedly: freeing so large a block raises
-    the allocator's mmap threshold, so the smaller blocks of later tables
-    stay resident on the heap beside the next large one.  Raises
+    Every byte is taken from ``stream`` by its ``read`` and ``readinto``
+    methods, in file order and once, so a stream that hashes what it hands
+    out has hashed the whole file when a table is returned.  The header is
+    checked before any data is read, so neither an object dtype (which would
+    need unpickling) nor a shape larger than the file gets that far.  The
+    rows are read BLOCK_ROWS at a time, each by one ``readinto`` into its
+    block's array, and each vector is a row of its block, as
+    load_text_embeddings stores them.  One ``(V, d)`` array instead added a
+    table's size to the peak memory of a process that loads tables
+    repeatedly: freeing so large a block raises the allocator's mmap
+    threshold, so the smaller blocks of later tables stay resident on the
+    heap beside the next large one.  Raises
     FormatError on another npy version, a dtype other than ``<f8``, Fortran
     order, a shape that is not 2-D or not ``len(surfaces)`` long, a data
     size that does not match the shape, and a non-finite value.
@@ -244,8 +256,9 @@ def load_npy_table(stream: BinaryIO, surfaces: Sequence[str]) -> EmbeddingTable:
     vectors: dict[str, np.ndarray] = {}
     for start in range(0, n_rows, BLOCK_ROWS):
         names = surfaces[start:start + BLOCK_ROWS]
-        block = np.fromfile(stream, dtype=ROW_DTYPE, count=len(names) * dim)
-        block = block.reshape(len(names), dim)
+        block = np.empty((len(names), dim), dtype=ROW_DTYPE)
+        if stream.readinto(block) != block.nbytes:  # the file shrank after the size check
+            raise FormatError(f"data size does not match the shape {shape}")
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             raise FormatError(f"non-finite value in the row of {names[int(np.argmin(finite))]!r}")

@@ -20,7 +20,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, BinaryIO, Iterator
 
 from . import attention, cnn, fusion, jaccard, metrics, tfidf
 from .corpus import BINARY, Dataset, LabeledPair
@@ -134,8 +134,10 @@ def train_bundle(dataset: Dataset, table: EmbeddingTable, config: TrainConfig, *
     weights; in ``learned`` mode the combiner is then fit on the weighted
     score triples.  Returns the bundle and the mean loss per epoch of the
     CNN and of the combiner (empty in ``weighted_sum`` mode).  Deterministic
-    for a seed.  A bad ``factor``, ``n_max`` or ``fusion_mode`` (ConfigError),
-    or one label class in ``learned`` mode (DegenerateData), fails first.
+    for a seed at one BLAS thread count; another count can change the bits,
+    since BLAS then sums the CNN's convolution matmuls in another order.  A
+    bad ``factor``, ``n_max`` or ``fusion_mode`` (ConfigError), or one label
+    class in ``learned`` mode (DegenerateData), fails first.
     """
     check_choice("weighting_factor", factor, CALIBRATION_FACTORS)
     check_n_max(n_max)
@@ -188,9 +190,12 @@ _HEX_DIGEST = re.compile("[0-9a-f]{64}")
 HASHED_FILES = ("cnn.params", "fusion.params", "stats.tsv", VOCAB, MATRIX)
 
 
+# the errors reading or parsing a bundle file raises
+_FILE_ERRORS = (SimfuseError, ValueError, OSError)
+
+
 @contextmanager
-def _naming(name: str, errors: tuple[type[Exception], ...] = (SimfuseError, ValueError, OSError)
-            ) -> Iterator[None]:
+def _naming(name: str, errors: tuple[type[Exception], ...] = _FILE_ERRORS) -> Iterator[None]:
     """Turns a UTF-8 decode error, or one of ``errors``, met while handling
     ``name`` (a file, or a line of one) into a FormatError that names it."""
     try:
@@ -201,12 +206,45 @@ def _naming(name: str, errors: tuple[type[Exception], ...] = (SimfuseError, Valu
         raise FormatError(f"{name}: {exc}") from exc
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(_HASH_BLOCK), b""):
-            digest.update(block)
+def _hash_rest(stream: BinaryIO, digest) -> str:
+    """The hex digest after ``digest`` is updated with the rest of ``stream``."""
+    for block in iter(lambda: stream.read(_HASH_BLOCK), b""):
+        digest.update(block)
     return digest.hexdigest()
+
+
+def _sha256(path: Path) -> str:
+    with open(path, "rb") as f:
+        return _hash_rest(f, hashlib.sha256())
+
+
+def _check_sha256(digest: str, expected: str) -> None:
+    if digest != expected:
+        raise FormatError(f"sha256 does not match {MANIFEST}")
+
+
+class _HashingReader:
+    """A binary file whose ``read`` and ``readinto`` also feed each byte they
+    return to ``digest``, so that parsing a file computes its sha256."""
+
+    def __init__(self, file: BinaryIO):
+        self.file, self.digest = file, hashlib.sha256()
+
+    def read(self, size: int = -1) -> bytes:
+        data = self.file.read(size)
+        self.digest.update(data)
+        return data
+
+    def readinto(self, buffer) -> int:
+        count = self.file.readinto(buffer)
+        self.digest.update(memoryview(buffer).cast("B")[:count])
+        return count
+
+    def fileno(self) -> int:
+        return self.file.fileno()
+
+    def tell(self) -> int:
+        return self.file.tell()
 
 
 def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
@@ -273,16 +311,35 @@ def _read(path: Path, parse):
         return parse(f)
 
 
+def _load_matrix(path: Path, surfaces: list[str], expected: str) -> EmbeddingTable:
+    """load_npy_table of the npy file at ``path``, hashed by the same one read.
+    A sha256 other than ``expected`` is raised ahead of a parse error, the
+    rest of the file being hashed first."""
+    with _naming(MATRIX), open(path, "rb") as f:
+        reader = _HashingReader(f)
+        try:
+            table = load_npy_table(reader, surfaces)
+        except _FILE_ERRORS:
+            _check_sha256(_hash_rest(f, reader.digest), expected)
+            raise
+        _check_sha256(_hash_rest(f, reader.digest), expected)
+        return table
+
+
 def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
     """Load a bundle directory written by save_bundle, or a v1 bundle.
 
     A bad ``n_max`` is a ConfigError, before any file is read.  Then each file is
     read in turn, and the first fault raises FormatError naming it (a missing,
     malformed, non-finite or inconsistent file; CNN parameters of another dimension
-    than the table's name cnn.params).  v2: manifest.tsv (whose ``n_max`` one given
-    here must equal), the sha256 of each file it lists, cnn.params, fusion.params,
-    stats.tsv, vocab.txt, embeddings.npy.  v1 (no manifest.tsv; ``n_max`` as given,
+    than the table's name cnn.params).  v1 (no manifest.tsv; ``n_max`` as given,
     DEFAULT_N_MAX when None): embeddings.txt, cnn.params, fusion.params, stats.tsv.
+    v2: manifest.tsv (whose ``n_max`` one given here must equal), the sha256 of
+    each text file it lists, cnn.params, fusion.params, stats.tsv, vocab.txt, then
+    embeddings.npy, read once: it is hashed as it is parsed, and no table is
+    returned from it unless its sha256 matches.  A sha256 mismatch of any file is
+    reported ahead of any parse error: when a file fails to parse, embeddings.npy
+    is hashed in full first.
     """
     if n_max is not None:
         check_n_max(n_max)
@@ -299,18 +356,23 @@ def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
             saved_n_max, digests = _read_manifest(directory / MANIFEST)
             if n_max is not None and n_max != saved_n_max:
                 raise FormatError(f"bundle was trained with n_max {saved_n_max}, got {n_max}")
-        for name in HASHED_FILES:
+        for name in HASHED_FILES[:-1]:  # embeddings.npy is hashed as it is parsed
             with _naming(name):
-                if _sha256(directory / name) != digests[name]:
-                    raise FormatError(f"sha256 does not match {MANIFEST}")
+                _check_sha256(_sha256(directory / name), digests[name])
         n_max = saved_n_max
-    cnn_params = _read(directory / "cnn.params", cnn.load_cnn_params)
-    weights, fusion_params = _read(directory / "fusion.params", fusion.load_fusion_params)
-    stats = _read(directory / "stats.tsv", load_stats)
+    try:
+        cnn_params = _read(directory / "cnn.params", cnn.load_cnn_params)
+        weights, fusion_params = _read(directory / "fusion.params", fusion.load_fusion_params)
+        stats = _read(directory / "stats.tsv", load_stats)
+        if v2:
+            vocab = _read(directory / VOCAB, load_vocab)
+    except FormatError:
+        if v2:
+            with _naming(MATRIX):
+                _check_sha256(_sha256(directory / MATRIX), digests[MATRIX])
+        raise
     if v2:
-        vocab = _read(directory / VOCAB, load_vocab)
-        with _naming(MATRIX), open(directory / MATRIX, "rb") as f:
-            table = load_npy_table(f, vocab)
+        table = _load_matrix(directory / MATRIX, vocab, digests[MATRIX])
     # the one check ModelBundle makes: the CNN's dimension against the table's
     with _naming("cnn.params"):
         return ModelBundle(stats=stats, table=table, cnn_params=cnn_params, weights=weights,

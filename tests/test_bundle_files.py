@@ -7,10 +7,12 @@ import hashlib
 import io
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from simfuse import pipeline
 from simfuse.cli import main
 from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, cnn_train, init_params,
                          save_cnn_params)
@@ -356,6 +358,30 @@ def _delete(path):
     path.unlink()
 
 
+def _flip_last(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _replace_bytes(old, new):
+    """A corruption that replaces the one ``old`` in the file's bytes."""
+    def corrupt(path):
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+    return corrupt
+
+
+def _after(name, corrupt_sibling, corrupt):
+    """A corruption that applies ``corrupt_sibling`` to the file ``name`` beside
+    the corrupted file, then ``corrupt`` to the file itself."""
+    def both(path):
+        corrupt_sibling(path.parent / name)
+        corrupt(path)
+    return both
+
+
 def _rehashed(write):
     """A corruption that rewrites the file with ``write(path)`` and puts its
     new sha256 in the manifest, so that only the content checks can catch it."""
@@ -394,15 +420,17 @@ def _dim_4_cnn_params(path):
         save_cnn_params(init_params(dim=4), f)
 
 
-# (case id, bundle version, bundle file, corruption, expected message part)
+# (case id, bundle version, bundle file, corruption, expected message): the
+# message is the whole error line after "error: ", or a pattern the whole
+# line after it must match where the message holds a path
 CORRUPTIONS = [
     ("cnn_non_numeric", "v1", "cnn.params", _replace("filters 0.5 ", "filters abc "),
      "cnn.params: line 3: non-numeric value"),
     ("cnn_rng_seed", "v1", "cnn.params", _replace("rng_seed 7", "rng_seed seven"),
-     "cnn.params: line 2: rng_seed must be an integer"),
+     "cnn.params: line 2: rng_seed must be an integer, got 'seven'"),
     ("cnn_header_ints", "v1", "cnn.params",
      _replace("simfuse-cnn v1 1 2 2 2", "simfuse-cnn v1 1 2 two 2"),
-     "cnn.params: line 1: a header size must be an integer"),
+     "cnn.params: line 1: a header size must be an integer, got 'two'"),
     ("cnn_zero_filters", "v1", "cnn.params",
      _replace("simfuse-cnn v1 1 2 2 2", "simfuse-cnn v1 0 2 2 2"),
      "cnn.params: line 1: header sizes must be >= 1, got [0, 2, 2, 2]"),
@@ -412,18 +440,18 @@ CORRUPTIONS = [
     ("cnn_nan_same_count", "v1", "cnn.params", _replace("filters 0.5 ", "filters nan "),
      "cnn.params: line 3: non-finite value"),
     ("stats_total_pairs", "v1", "stats.tsv", _replace("#total_pairs=3", "#total_pairs=three"),
-     "stats.tsv: line 1: #total_pairs must be an integer"),
+     "stats.tsv: line 1: #total_pairs must be an integer, got 'three'"),
     ("stats_doc_freq", "v1", "stats.tsv", _replace("x\t1", "x\tone"),
-     "stats.tsv: line 2: doc_freq must be an integer"),
+     "stats.tsv: line 2: doc_freq must be an integer, got 'one'"),
     ("stats_doc_freq_above_total", "v1", "stats.tsv", _replace("y\t3", "y\t4"),
-     "stats.tsv: document frequency out of range"),
+     "stats.tsv: document frequency out of range for ['y']"),
     ("fusion_non_numeric", "v1", "fusion.params", _replace("hidden_b 0 1", "hidden_b 0 one"),
      "fusion.params: line 4: non-numeric value"),
     ("fusion_no_hidden_units", "v1", "fusion.params",
      _replace(GOLDEN["fusion.params"].split("\n", 2)[2], "hidden_w\nhidden_b\nout_w\nout_b 0.7\n"),
      "fusion.params: line 4: hidden_b has no values"),
     ("fusion_weights_sum", "v1", "fusion.params", _replace("0.25 0.5 0.25", "0.5 0.5 0.5"),
-     "fusion.params: fusion weights must sum to 1"),
+     "fusion.params: fusion weights must sum to 1, got 1.5"),
     ("fusion_inconsistent_shapes", "v1", "fusion.params", _replace("out_w 2 -3", "out_w 2 -3 4"),
      "fusion.params: line 5: expected 2 values, got 3"),
     ("fusion_unknown_section", "v1", "fusion.params",
@@ -432,7 +460,7 @@ CORRUPTIONS = [
     ("embeddings_nan", "v1", "embeddings.txt", _replace("a 1e-300 3", "a nan 3"),
      "embeddings.txt: line 2: non-finite value"),
     ("embeddings_overflow", "v1", "embeddings.txt", _replace("a 1e-300 3", "a 1e200 1e200"),
-     "non-finite component score: w2vcnn=nan"),
+     "pair 1: non-finite component score: w2vcnn=nan"),
     ("cnn_unknown_section", "v1", "cnn.params",
      _replace("out_b 0.75\n", "out_b 0.75\nextra 1 2\n"),
      "cnn.params: line 9: unknown CNN parameter section 'extra'"),
@@ -460,24 +488,35 @@ CORRUPTIONS = [
      "stats.tsv: line 2: expected term<TAB>doc_freq"),
     # v2: every file truncated, flipped and deleted
     *[(f"v2_{name}_{how}", "v2", name, corrupt,
-       f"{name}: [Errno 2] No such file or directory" if how == "deleted"
+       re.compile(rf"{re.escape(name)}: \[Errno 2\] No such file or directory: '.*/"
+                  rf"{re.escape(name)}'") if how == "deleted"
        else f"{name}: sha256 does not match manifest.tsv")
       for name in ("cnn.params", "fusion.params", "stats.tsv", "vocab.txt", "embeddings.npy")
       for how, corrupt in (("truncated", _truncate), ("flipped", _flip), ("deleted", _delete))],
+    # an npy whose header or data changed: its sha256 is reported, even when a
+    # file parsed before it is bad too (rehashed, it fails only to parse)
+    ("v2_embeddings.npy_header_byte", "v2", "embeddings.npy",
+     _replace_bytes(b"(2, 2)", b"(3, 2)"), "embeddings.npy: sha256 does not match manifest.tsv"),
+    ("v2_embeddings.npy_data_byte", "v2", "embeddings.npy", _flip_last,
+     "embeddings.npy: sha256 does not match manifest.tsv"),
+    *[(f"v2_embeddings.npy_flipped_after_a_bad_{other}", "v2", "embeddings.npy",
+       _after(other, _rehashed(bad), _flip), "embeddings.npy: sha256 does not match manifest.tsv")
+      for other, bad in (("cnn.params", _replace("filters 0.5 ", "filters abc ")),
+                         ("vocab.txt", lambda p: p.write_text("a\na\n")))],
     ("v2_manifest_truncated", "v2", "manifest.tsv", _truncate,
      "manifest.tsv: line 5: expected n_max<TAB>N or sha256<TAB>file<TAB>64 hex digits"),
     # the flipped byte is a digit of the stats.tsv digest
     ("v2_manifest_flipped", "v2", "manifest.tsv", _flip,
      "stats.tsv: sha256 does not match manifest.tsv"),
     ("v2_manifest_deleted", "v2", "manifest.tsv", _delete,
-     "manifest.tsv: not in "),
+     re.compile(r"manifest\.tsv: not in .*, and neither is a v1 embeddings\.txt")),
     ("v2_manifest_unknown_version", "v2", "manifest.tsv",
      _replace("simfuse-bundle v2", "simfuse-bundle v3"),
      "manifest.tsv: line 1: expected 'simfuse-bundle v2', got 'simfuse-bundle v3'"),
     ("v2_manifest_without_n_max", "v2", "manifest.tsv", _replace("n_max\t32\n", ""),
      "manifest.tsv: no n_max line"),
     ("v2_manifest_n_max_zero", "v2", "manifest.tsv", _replace("n_max\t32\n", "n_max\t0\n"),
-     "manifest.tsv: line 2: n_max must be >= 1"),
+     "manifest.tsv: line 2: n_max must be >= 1, got 0"),
     ("v2_manifest_bad_hash_line", "v2", "manifest.tsv",
      _replace("\tvocab.txt\t911169dd", "\tvocab.txt\t911169d"),
      "manifest.tsv: line 6: expected n_max<TAB>N or sha256<TAB>file<TAB>64 hex digits"),
@@ -522,7 +561,8 @@ CORRUPTIONS = [
      "embeddings.npy: non-finite value in the row of 'a'"),
     ("v2_npy_not_npy", "v2", "embeddings.npy",
      _rehashed(lambda p: p.write_bytes(b"PK\x03\x04 a zip archive, not an npy file")),
-     "embeddings.npy: the magic string is not correct"),
+     "embeddings.npy: the magic string is not correct; expected b'\\x93NUMPY', "
+     "got b'PK\\x03\\x04 a'"),
     ("v2_vocab_repeated_surface", "v2", "vocab.txt", _rehashed(lambda p: p.write_text("a\na\n")),
      "vocab.txt: line 2: repeated surface 'a'"),
     # a repeated record is an error, not overwritten by the last one; v2
@@ -543,10 +583,10 @@ CORRUPTIONS = [
       for version in ("v1", "v2")],
     # a byte that is not UTF-8 in each text file; v2 with a matching sha256
     *[(f"v1_{name}_not_utf8", "v1", name, _non_utf8,
-       f"error: {name}: not UTF-8 text (invalid start byte)") for name in V1_GOLDEN],
+       f"{name}: not UTF-8 text (invalid start byte)") for name in V1_GOLDEN],
     *[(f"v2_{name}_not_utf8", "v2", name,
        _non_utf8 if name == "manifest.tsv" else _rehashed(_non_utf8),
-       f"error: {name}: not UTF-8 text (invalid start byte)")
+       f"{name}: not UTF-8 text (invalid start byte)")
       for name in ("cnn.params", "fusion.params", "stats.tsv", "vocab.txt", "manifest.tsv")],
 ]
 
@@ -583,13 +623,13 @@ def test_corrupt_bundle_file_exits_1_with_one_error_line(scoring_inputs, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("error: ")
-    assert message in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    text = lines[0][len("error: "):]
+    assert (message.fullmatch(text) if isinstance(message, re.Pattern) else text == message), text
 
 
 # load_bundle's read order per version and phase: with every file from the
-# k-th on made unreadable, the error names the k-th.  A v2 file altered
+# k-th on made unreadable, the error is the k-th's.  A v2 file altered
 # without its manifest line fails the sha256 phase, one rehashed the parse phase.
 READ_ORDER = {
     "v1": ("embeddings.txt", "cnn.params", "fusion.params", "stats.tsv"),
@@ -607,8 +647,79 @@ def test_of_several_bad_files_the_first_one_read_is_reported(tmp_path, order, fi
     # the manifest, first in the list, is corrupted after the files it lists
     for name in reversed(names[first:]):
         (_rehashed(_non_utf8) if order == "v2_parse" else _non_utf8)(tmp_path / name)
-    with pytest.raises(FormatError, match=f"^{re.escape(names[first])}: "):
+    if order == "v2_sha256" and first > 0:
+        message = f"{names[first]}: sha256 does not match manifest.tsv"
+    elif names[first] == "embeddings.npy":
+        message = (r"embeddings.npy: the magic string is not correct; "
+                   r"expected b'\x93NUMPY', got b'\x93NUMP\xff'")
+    else:
+        message = f"{names[first]}: not UTF-8 text (invalid start byte)"
+    with pytest.raises(FormatError) as raised:
         load_bundle(tmp_path)
+    assert str(raised.value) == message
+
+
+class _CountingReads:
+    """A binary file that adds the size of each read it returns to ``tally``."""
+
+    def __init__(self, file, tally):
+        self.file, self.tally = file, tally
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def read(self, size=-1):
+        data = self.file.read(size)
+        self.tally.append(len(data))
+        return data
+
+    def readinto(self, buffer):
+        count = self.file.readinto(buffer)
+        self.tally.append(count)
+        return count
+
+
+def _nan_first_value(path):
+    """Puts a NaN in place of the first value of an npy file's rows."""
+    with open(path, "r+b") as f:
+        np.lib.format.read_magic(f)
+        np.lib.format.read_array_header_1_0(f)
+        f.write(struct.pack("<d", np.nan))
+
+
+# a clean v2 load reads embeddings.npy once; so does one failing on a rehashed
+# bad file, before embeddings.npy is parsed or while it is
+@pytest.mark.parametrize("name, corrupt, message", [
+    (None, None, None),
+    ("cnn.params", _replace("filters 0.5 ", "filters abc "), "line 3: non-numeric value"),
+    ("embeddings.npy", _nan_first_value, "non-finite value in the row of 'w0'"),
+], ids=["clean", "bad_cnn_params", "bad_embeddings_npy"])
+def test_load_bundle_reads_embeddings_npy_once(tmp_path, monkeypatch, name, corrupt, message):
+    table = EmbeddingTable(dim=2, vectors={f"w{i}": np.array([i, -0.5])
+                                           for i in range(BLOCK_ROWS + 3)})
+    save_bundle(dataclasses.replace(tiny_bundle(), table=table), tmp_path)
+    reads = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        opened = open(file, mode, *args, **kwargs)
+        return (_CountingReads(opened, reads) if Path(file).name == "embeddings.npy"
+                else opened)
+
+    monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+    if name is None:
+        assert load_bundle(tmp_path).table.vectors.keys() == table.vectors.keys()
+    else:
+        _rehashed(corrupt)(tmp_path / name)
+        with pytest.raises(FormatError) as raised:
+            load_bundle(tmp_path)
+        assert str(raised.value) == f"{name}: {message}"
+    assert sum(reads) == (tmp_path / "embeddings.npy").stat().st_size
 
 
 def test_non_finite_score_names_the_pair(scoring_inputs, capsys):

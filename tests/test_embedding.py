@@ -140,6 +140,16 @@ class TestLoadTextEmbeddings:
         for word, vec in table.vectors.items():
             np.testing.assert_array_equal(back.vectors[word], vec)
 
+    # each would be written as a line the reader splits differently
+    @pytest.mark.parametrize("surface", ["a b", "", "x\ny", "tab\tin", " ", "\x85"])
+    def test_save_refuses_a_surface_it_cannot_read_back(self, surface):
+        table = EmbeddingTable(dim=2, vectors={"a": np.ones(2), surface: np.zeros(2)})
+        stream = io.StringIO()
+        with pytest.raises(FormatError) as raised:
+            save_text_embeddings(table, stream)
+        assert str(raised.value) == f"surface {surface!r} is empty or holds whitespace"
+        assert stream.getvalue() == ""
+
 
 class TestFormatRow:
     def test_matches_per_value_format_on_adversarial_values(self):

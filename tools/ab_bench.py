@@ -1,0 +1,120 @@
+"""Interleaved benchmark runs of two checkouts, for judging a performance claim.
+
+Usage::
+
+    python3 tools/ab_bench.py PARENT CHANGE --workload W --pairs N --seed S --seconds T
+        [--trace 0|1]
+
+``PARENT`` and ``CHANGE`` are the roots of two source checkouts.  The script
+runs ``perfbench/run.py --workload W --seed S --seconds T --trace X`` of each
+checkout, from that checkout's root, ``N`` times, alternating which side runs
+first in each pair.  Each run's result line goes to stderr as it arrives.  Then
+it prints, for every metric of the runs, one tab-separated row: the metric,
+its unit, the direction the change's ``BENCHMARK.json`` declares better, each
+side's median and quartiles, the change of the median in percent, the pairs
+the change won (ties count for neither side), and ``gain`` when the change won
+at least nine tenths of the pairs and the medians differ by more than the
+parent's interquartile range.  A final row counts each side's failed runs and
+failed operations.  The script writes no file; the runs clean up after
+themselves.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+WIN_SHARE = 0.9
+
+
+def _run(root: Path, args: argparse.Namespace) -> dict | None:
+    """The result object of one benchmark run of the checkout at ``root``,
+    or None when the run exits non-zero or prints no result."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
+         str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)],
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        return None
+    return json.loads(lines[-1])
+
+
+def _directions(root: Path) -> dict[str, str]:
+    """{metric: "lower" or "higher"} as the checkout's BENCHMARK.json declares."""
+    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {metric["name"]: metric["better"]
+            for metric in declared["end_to_end"] + declared["per_layer"]}
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def _row(name: str, unit: str, better: str, pairs: list[tuple[float, float]]) -> str:
+    parent, change = [value for value, _ in pairs], [value for _, value in pairs]
+    (p1, pm, p3), (c1, cm, c3) = _quartiles(parent), _quartiles(change)
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in pairs)
+    gain = wins >= WIN_SHARE * len(pairs) and sign * (cm - pm) > p3 - p1
+    delta = f"{100 * (cm - pm) / pm:+.1f}%" if pm else "n/a"
+    return (f"{name}\t{unit}\t{better}\t{pm:.6g} [{p1:.6g}, {p3:.6g}]\t"
+            f"{cm:.6g} [{c1:.6g}, {c3:.6g}]\t{delta}\t{wins}/{len(pairs)}\t"
+            f"{'gain' if gain else '-'}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, root in roots.items():
+        if not (root / "perfbench" / "run.py").is_file():
+            parser.error(f"{side} {root} has no perfbench/run.py")
+    better = _directions(roots["change"])
+
+    results: list[dict[str, dict | None]] = []
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {}
+        for side in order:
+            pair[side] = _run(roots[side], args)
+            print(f"pair {i + 1} {side}\t{json.dumps(pair[side])}", file=sys.stderr, flush=True)
+        results.append(pair)
+
+    complete = [pair for pair in results if None not in pair.values()]
+    print("metric\tunit\tbetter\tparent median [q1, q3]\tchange median [q1, q3]\t"
+          "change\twins\tverdict")
+    if complete:
+        for name, entry in complete[0]["parent"]["metrics"].items():
+            pairs = [(pair["parent"]["metrics"][name]["value"],
+                      pair["change"]["metrics"][name]["value"]) for pair in complete]
+            print(_row(name, entry["unit"], better[name], pairs))
+    for side in SIDES:
+        runs = [pair[side] for pair in results]
+        failed_runs = sum(run is None or not run["correct"] for run in runs)
+        failed_ops = sum(run["failed"] for run in runs if run is not None)
+        attempted = sum(run["attempted"] for run in runs if run is not None)
+        print(f"# {side}: {failed_runs} of {len(runs)} runs failed or not correct; "
+              f"{failed_ops} of {attempted} operations failed")
+    return 0 if len(complete) == len(results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
