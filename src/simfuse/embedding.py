@@ -181,14 +181,26 @@ def load_text_embeddings(stream: IO[str] | Iterable[str]) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
+def _check_finite_rows(names: Sequence[str], block: np.ndarray) -> None:
+    """FormatError naming the first of ``names`` whose row of ``block`` holds
+    a non-finite value."""
+    if not np.isfinite(block).all():
+        finite = np.isfinite(block).all(axis=1)
+        raise FormatError(f"non-finite value in the row of {names[int(np.argmin(finite))]!r}")
+
+
 def save_text_embeddings(table: EmbeddingTable, stream: IO[str]) -> None:
     """Write a table back out in the text format (sorted, with header).  A
-    surface that is empty or holds whitespace, which load_text_embeddings
-    would not read back, is a FormatError before any line is written."""
+    surface that is empty or holds whitespace, or a vector with a non-finite
+    value, which load_text_embeddings would not read back, is a FormatError
+    before any line is written."""
     surfaces = sorted(table.vectors)
     bad = next((surface for surface in surfaces if surface.split() != [surface]), None)
     if bad is not None:
         raise FormatError(f"surface {bad!r} is empty or holds whitespace")
+    for start in range(0, len(surfaces), BLOCK_ROWS):
+        names = surfaces[start:start + BLOCK_ROWS]
+        _check_finite_rows(names, np.array([table.vectors[surface] for surface in names]))
     stream.write(f"{len(surfaces)} {table.dim}\n")
     for surface in surfaces:
         stream.write(format_row(surface, table.vectors[surface]))
@@ -210,13 +222,17 @@ def load_vocab(stream: IO[str]) -> list[str]:
 def save_npy_table(table: EmbeddingTable, surfaces: Sequence[str], stream: BinaryIO) -> None:
     """The vectors of ``surfaces``, in that order, as one npy 1.0 array: a
     ``<f8``, C-order ``(len(surfaces), dim)`` header, then the rows, written
-    BLOCK_ROWS at a time so that the whole matrix is never built."""
+    BLOCK_ROWS at a time so that the whole matrix is never built.  A block
+    holding a non-finite value, which load_npy_table would refuse, is a
+    FormatError naming its surface before the block is written."""
     np.lib.format.write_array_header_1_0(
         stream, {"descr": ROW_DTYPE.str, "fortran_order": False,
                  "shape": (len(surfaces), table.dim)})
     for start in range(0, len(surfaces), BLOCK_ROWS):
-        rows = [table.vectors[surface] for surface in surfaces[start:start + BLOCK_ROWS]]
-        stream.write(np.asarray(rows, dtype=ROW_DTYPE).tobytes())
+        names = surfaces[start:start + BLOCK_ROWS]
+        block = np.asarray([table.vectors[surface] for surface in names], dtype=ROW_DTYPE)
+        _check_finite_rows(names, block)
+        stream.write(block.tobytes())
 
 
 def load_npy_table(stream: BinaryIO, surfaces: Sequence[str]) -> EmbeddingTable:
@@ -259,9 +275,7 @@ def load_npy_table(stream: BinaryIO, surfaces: Sequence[str]) -> EmbeddingTable:
         block = np.empty((len(names), dim), dtype=ROW_DTYPE)
         if stream.readinto(block) != block.nbytes:  # the file shrank after the size check
             raise FormatError(f"data size does not match the shape {shape}")
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            raise FormatError(f"non-finite value in the row of {names[int(np.argmin(finite))]!r}")
+        _check_finite_rows(names, block)
         vectors.update(zip(names, block))
     return EmbeddingTable(dim=dim, vectors=vectors)
 

@@ -11,11 +11,13 @@ table as ``vocab.txt`` (the sorted surfaces) plus ``embeddings.npy`` (their
 rows, float64), and ``manifest.tsv`` (the format version, ``n_max`` and a
 sha256 per other file).  A v1 bundle, the same three text files plus the
 table as word2vec text in ``embeddings.txt`` and no manifest, still loads.
+``load_bundle`` reads each file once and hashes a v2 file as it parses it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -206,34 +208,17 @@ def _naming(name: str, errors: tuple[type[Exception], ...] = _FILE_ERRORS) -> It
         raise FormatError(f"{name}: {exc}") from exc
 
 
-def _hash_rest(stream: BinaryIO, digest) -> str:
-    """The hex digest after ``digest`` is updated with the rest of ``stream``."""
-    for block in iter(lambda: stream.read(_HASH_BLOCK), b""):
-        digest.update(block)
-    return digest.hexdigest()
-
-
-def _sha256(path: Path) -> str:
-    with open(path, "rb") as f:
-        return _hash_rest(f, hashlib.sha256())
-
-
-def _check_sha256(digest: str, expected: str) -> None:
-    if digest != expected:
-        raise FormatError(f"sha256 does not match {MANIFEST}")
-
-
-class _HashingReader:
-    """A binary file whose ``read`` and ``readinto`` also feed each byte they
-    return to ``digest``, so that parsing a file computes its sha256."""
+class _Sha256Reader(io.RawIOBase):
+    """A binary file whose every byte read, through ``readinto`` (which
+    ``read`` calls), also feeds a sha256; ``fileno`` and ``tell`` are the
+    file's, for load_npy_table's size check."""
 
     def __init__(self, file: BinaryIO):
+        super().__init__()
         self.file, self.digest = file, hashlib.sha256()
 
-    def read(self, size: int = -1) -> bytes:
-        data = self.file.read(size)
-        self.digest.update(data)
-        return data
+    def readable(self) -> bool:
+        return True
 
     def readinto(self, buffer) -> int:
         count = self.file.readinto(buffer)
@@ -246,11 +231,25 @@ class _HashingReader:
     def tell(self) -> int:
         return self.file.tell()
 
+    def hexdigest(self) -> str:
+        """The file's sha256, once the rest of it has been read (by ``read``: a
+        zero-filled buffer for ``readinto`` made later loads page-fault anew)."""
+        for block in iter(lambda: self.file.read(_HASH_BLOCK), b""):
+            self.digest.update(block)
+        return self.digest.hexdigest()
+
+
+def _sha256(path: Path) -> str:
+    with open(path, "rb") as file:
+        return _Sha256Reader(file).hexdigest()
+
 
 def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     """Write a v2 bundle, in load_bundle's read order with manifest.tsv last;
-    output is byte-deterministic.  A table surface holding a line break, which
-    vocab.txt would not read back, is a FormatError before any file is written.
+    output is byte-deterministic.  What would not read back is a FormatError: a
+    table surface holding a line break (vocab.txt) or a TF-IDF term holding a tab
+    or line break (stats.tsv) before any file is written, and a non-finite table
+    value (embeddings.npy) before manifest.tsv is.
     Saving into a directory that holds a v1 bundle migrates it: the manifest
     makes load_bundle read v2, and the old embeddings.txt is left in place, unread.
     """
@@ -259,6 +258,9 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     if vocab.splitlines() != surfaces:
         bad = next(s for s in surfaces if f"{s}\n".splitlines() != [s])
         raise FormatError(f"{VOCAB}: surface {bad!r} holds a line break")
+    if re.search("[\t\n\r]", "".join(bundle.stats.pair_doc_freq)):  # load_stats splits there
+        bad = min(t for t in bundle.stats.pair_doc_freq if re.search("[\t\n\r]", t))
+        raise FormatError(f"stats.tsv: term {bad!r} holds a tab or line break")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "cnn.params", "w", encoding="utf-8", newline="\n") as f:
@@ -268,16 +270,16 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     with open(directory / "stats.tsv", "w", encoding="utf-8", newline="\n") as f:
         save_stats(bundle.stats, f)
     (directory / VOCAB).write_text(vocab, encoding="utf-8", newline="\n")
-    with open(directory / MATRIX, "wb") as f:
+    with _naming(MATRIX, (FormatError,)), open(directory / MATRIX, "wb") as f:
         save_npy_table(bundle.table, surfaces, f)
     lines = [BUNDLE_FORMAT, f"n_max\t{bundle.n_max}"]
     lines += [f"sha256\t{name}\t{_sha256(directory / name)}" for name in HASHED_FILES]
     (directory / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _read_manifest(path: Path) -> tuple[int, dict[str, str]]:
+def _read_manifest(stream: IO[str]) -> tuple[int, dict[str, str]]:
     """(n_max, {file name: sha256 hex digest}) of a manifest.tsv."""
-    lines = path.read_text(encoding="utf-8").splitlines() or [""]
+    lines = stream.read().splitlines() or [""]
     if lines[0] != BUNDLE_FORMAT:
         raise FormatError(f"line 1: expected {BUNDLE_FORMAT!r}, got {lines[0]!r}")
     n_max, digests = None, {}
@@ -305,74 +307,69 @@ def _read_manifest(path: Path) -> tuple[int, dict[str, str]]:
     return n_max, digests
 
 
-def _read(path: Path, parse):
-    """``parse`` of an open UTF-8 bundle text file; its errors name the file."""
-    with _naming(path.name), open(path, encoding="utf-8") as f:
-        return parse(f)
-
-
-def _load_matrix(path: Path, surfaces: list[str], expected: str) -> EmbeddingTable:
-    """load_npy_table of the npy file at ``path``, hashed by the same one read.
-    A sha256 other than ``expected`` is raised ahead of a parse error, the
-    rest of the file being hashed first."""
-    with _naming(MATRIX), open(path, "rb") as f:
-        reader = _HashingReader(f)
+def _read(directory: Path, name: str, parse, digests: dict[str, str] | None = None,
+          binary: bool = False):
+    """``parse`` of bundle file ``name``, opened once and passed as binary or
+    UTF-8 text; its errors name the file.  With ``digests`` (v2), the bytes are
+    hashed as they are parsed, and a value is returned only if the sha256
+    matches.  A parse error is raised only after the rest of this file, and
+    then each later HASHED_FILES entry, is hashed and found to match.
+    """
+    with _naming(name), open(directory / name, "rb") as file:
+        raw = _Sha256Reader(file) if digests else file
+        stream = raw if binary else io.TextIOWrapper(raw, encoding="utf-8")
         try:
-            table = load_npy_table(reader, surfaces)
-        except _FILE_ERRORS:
-            _check_sha256(_hash_rest(f, reader.digest), expected)
-            raise
-        _check_sha256(_hash_rest(f, reader.digest), expected)
-        return table
+            value, error = parse(stream), None
+        except _FILE_ERRORS as exc:
+            error = exc
+        if digests and raw.hexdigest() != digests[name]:
+            raise FormatError(f"sha256 does not match {MANIFEST}")
+    if error is None:
+        return value
+    for later in HASHED_FILES[HASHED_FILES.index(name) + 1:] if digests else ():
+        _read(directory, later, lambda stream: None, digests, binary=True)
+    with _naming(name):
+        raise error
 
 
 def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
     """Load a bundle directory written by save_bundle, or a v1 bundle.
 
     A bad ``n_max`` is a ConfigError, before any file is read.  Then each file is
-    read in turn, and the first fault raises FormatError naming it (a missing,
-    malformed, non-finite or inconsistent file; CNN parameters of another dimension
-    than the table's name cnn.params).  v1 (no manifest.tsv; ``n_max`` as given,
-    DEFAULT_N_MAX when None): embeddings.txt, cnn.params, fusion.params, stats.tsv.
-    v2: manifest.tsv (whose ``n_max`` one given here must equal), the sha256 of
-    each text file it lists, cnn.params, fusion.params, stats.tsv, vocab.txt, then
-    embeddings.npy, read once: it is hashed as it is parsed, and no table is
-    returned from it unless its sha256 matches.  A sha256 mismatch of any file is
-    reported ahead of any parse error: when a file fails to parse, embeddings.npy
-    is hashed in full first.
+    opened and read once, in turn, and the first fault raises FormatError naming it
+    (a missing, malformed, non-finite or inconsistent file; CNN parameters of
+    another dimension than the table's name cnn.params).  v1 (no manifest.tsv;
+    ``n_max`` as given, DEFAULT_N_MAX when None): embeddings.txt, cnn.params,
+    fusion.params, stats.tsv.  v2: manifest.tsv (whose ``n_max`` one given here
+    must equal), then cnn.params, fusion.params, stats.tsv, vocab.txt and
+    embeddings.npy, each hashed as it is parsed.  Nothing is returned from a file
+    whose sha256 does not match the manifest's, and a sha256 mismatch of any file
+    is reported ahead of any parse error.
     """
     if n_max is not None:
         check_n_max(n_max)
     directory = Path(directory)
-    v2 = (directory / MANIFEST).exists()
-    if not v2:
-        if not (directory / V1_EMBEDDINGS).exists():
-            raise FormatError(f"{MANIFEST}: not in {directory}, and neither is a v1 "
-                              f"{V1_EMBEDDINGS}")
-        table = _read(directory / V1_EMBEDDINGS, load_text_embeddings)
+    digests = None
+    if (directory / MANIFEST).exists():
+        saved_n_max, digests = _read(directory, MANIFEST, _read_manifest)
+        if n_max is not None and n_max != saved_n_max:
+            raise FormatError(f"{MANIFEST}: bundle was trained with n_max {saved_n_max}, "
+                              f"got {n_max}")
+        n_max = saved_n_max
+    elif (directory / V1_EMBEDDINGS).exists():
+        table = _read(directory, V1_EMBEDDINGS, load_text_embeddings)
         n_max = cnn.DEFAULT_N_MAX if n_max is None else n_max
     else:
-        with _naming(MANIFEST):
-            saved_n_max, digests = _read_manifest(directory / MANIFEST)
-            if n_max is not None and n_max != saved_n_max:
-                raise FormatError(f"bundle was trained with n_max {saved_n_max}, got {n_max}")
-        for name in HASHED_FILES[:-1]:  # embeddings.npy is hashed as it is parsed
-            with _naming(name):
-                _check_sha256(_sha256(directory / name), digests[name])
-        n_max = saved_n_max
-    try:
-        cnn_params = _read(directory / "cnn.params", cnn.load_cnn_params)
-        weights, fusion_params = _read(directory / "fusion.params", fusion.load_fusion_params)
-        stats = _read(directory / "stats.tsv", load_stats)
-        if v2:
-            vocab = _read(directory / VOCAB, load_vocab)
-    except FormatError:
-        if v2:
-            with _naming(MATRIX):
-                _check_sha256(_sha256(directory / MATRIX), digests[MATRIX])
-        raise
-    if v2:
-        table = _load_matrix(directory / MATRIX, vocab, digests[MATRIX])
+        raise FormatError(f"{MANIFEST}: not in {directory}, and neither is a v1 "
+                          f"{V1_EMBEDDINGS}")
+    cnn_params = _read(directory, "cnn.params", cnn.load_cnn_params, digests)
+    weights, fusion_params = _read(directory, "fusion.params", fusion.load_fusion_params,
+                                   digests)
+    stats = _read(directory, "stats.tsv", load_stats, digests)
+    if digests:
+        vocab = _read(directory, VOCAB, load_vocab, digests)
+        table = _read(directory, MATRIX, lambda stream: load_npy_table(stream, vocab), digests,
+                      binary=True)
     # the one check ModelBundle makes: the CNN's dimension against the table's
     with _naming("cnn.params"):
         return ModelBundle(stats=stats, table=table, cnn_params=cnn_params, weights=weights,

@@ -250,6 +250,38 @@ class TestEmbeddingsRoundTrip:
             save_bundle(bundle, tmp_path / "model")
         assert not (tmp_path / "model").exists()
 
+    # load_stats splits stats.tsv at tabs and line breaks
+    @pytest.mark.parametrize("term", ["a\tb", "a\nb", "a\r"])
+    def test_a_term_with_a_tab_or_line_break_is_refused_before_any_file_is_written(
+            self, tmp_path, term):
+        bundle = dataclasses.replace(tiny_bundle(), stats=CorpusStats(
+            total_pairs=3, pair_doc_freq={"x": 1, term: 2}))
+        message = f"stats.tsv: term {term!r} holds a tab or line break"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            save_bundle(bundle, tmp_path / "model")
+        assert not (tmp_path / "model").exists()
+
+    # the rows are written BLOCK_ROWS at a time, each block checked before it is
+    # written, and manifest.tsv last: a refused save leaves no bundle that loads
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_value_is_refused_before_its_block_is_written(self, tmp_path,
+                                                                       value):
+        n_rows = 2 * BLOCK_ROWS + 3
+        rows = _edge_rows(n_rows, 5)
+        rows[BLOCK_ROWS + 7, 2] = value
+        surfaces = [f"w{i:03d}" for i in range(n_rows)]
+        bundle = dataclasses.replace(
+            tiny_bundle(), table=EmbeddingTable(dim=5, vectors=dict(zip(surfaces, rows))),
+            cnn_params=init_params(dim=5))
+        with pytest.raises(FormatError, match=f"^embeddings.npy: non-finite value in the row "
+                                              f"of 'w{BLOCK_ROWS + 7}'$"):
+            save_bundle(bundle, tmp_path)
+        header_size = len(_npy_bytes(np.zeros((n_rows, 5)), (1, 0))) - n_rows * 5 * 8
+        assert (tmp_path / "embeddings.npy").stat().st_size == header_size + BLOCK_ROWS * 5 * 8
+        assert not (tmp_path / "manifest.tsv").exists()
+        with pytest.raises(FormatError, match="^manifest.tsv: not in "):
+            load_bundle(tmp_path)
+
     def test_the_empty_surface_round_trips(self, tmp_path):
         vectors = {"": np.array([0.1, -2.0]), "a": np.array([1e-300, 3.0])}
         save_bundle(dataclasses.replace(
@@ -693,33 +725,60 @@ def _nan_first_value(path):
         f.write(struct.pack("<d", np.nan))
 
 
-# a clean v2 load reads embeddings.npy once; so does one failing on a rehashed
-# bad file, before embeddings.npy is parsed or while it is
+# a clean v2 load opens each hashed file once and reads each of its bytes
+# once; a load failing on a rehashed bad file, before embeddings.npy is
+# parsed or while it is, reads embeddings.npy once too
 @pytest.mark.parametrize("name, corrupt, message", [
     (None, None, None),
     ("cnn.params", _replace("filters 0.5 ", "filters abc "), "line 3: non-numeric value"),
     ("embeddings.npy", _nan_first_value, "non-finite value in the row of 'w0'"),
 ], ids=["clean", "bad_cnn_params", "bad_embeddings_npy"])
-def test_load_bundle_reads_embeddings_npy_once(tmp_path, monkeypatch, name, corrupt, message):
+def test_load_bundle_opens_and_reads_each_file_once(tmp_path, monkeypatch, name, corrupt,
+                                                     message):
     table = EmbeddingTable(dim=2, vectors={f"w{i}": np.array([i, -0.5])
                                            for i in range(BLOCK_ROWS + 3)})
     save_bundle(dataclasses.replace(tiny_bundle(), table=table), tmp_path)
-    reads = []
+    reads = {hashed: [] for hashed in pipeline.HASHED_FILES}
+    opens = dict.fromkeys(pipeline.HASHED_FILES, 0)
 
     def counting_open(file, mode="r", *args, **kwargs):
         opened = open(file, mode, *args, **kwargs)
-        return (_CountingReads(opened, reads) if Path(file).name == "embeddings.npy"
-                else opened)
+        if Path(file).name not in reads:
+            return opened
+        opens[Path(file).name] += 1
+        return _CountingReads(opened, reads[Path(file).name]) if "b" in mode else opened
 
     monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
     if name is None:
         assert load_bundle(tmp_path).table.vectors.keys() == table.vectors.keys()
+        for hashed in pipeline.HASHED_FILES:
+            assert opens[hashed] == 1, hashed
+            assert sum(reads[hashed]) == (tmp_path / hashed).stat().st_size, hashed
     else:
         _rehashed(corrupt)(tmp_path / name)
         with pytest.raises(FormatError) as raised:
             load_bundle(tmp_path)
         assert str(raised.value) == f"{name}: {message}"
-    assert sum(reads) == (tmp_path / "embeddings.npy").stat().st_size
+        assert opens["embeddings.npy"] == 1
+    assert sum(reads["embeddings.npy"]) == (tmp_path / "embeddings.npy").stat().st_size
+
+
+# a sha256 mismatch, or a missing file, outranks a parse error in an earlier
+# file: a text file rehashed but not UTF-8, with a later hashed file altered
+# without its manifest line or deleted, fails on the later file
+@pytest.mark.parametrize("earlier, later, fault", [
+    (earlier, later, fault) for i, earlier in enumerate(pipeline.HASHED_FILES[:-1])
+    for later in pipeline.HASHED_FILES[i + 1:] for fault in ("flipped", "deleted")])
+def test_a_later_sha256_mismatch_or_missing_file_outranks_a_parse_error(tmp_path, earlier,
+                                                                        later, fault):
+    save_bundle(tiny_bundle(), tmp_path)
+    _rehashed(_non_utf8)(tmp_path / earlier)
+    (_flip if fault == "flipped" else _delete)(tmp_path / later)
+    with pytest.raises(FormatError) as raised:
+        load_bundle(tmp_path)
+    assert str(raised.value) == (
+        f"{later}: sha256 does not match manifest.tsv" if fault == "flipped"
+        else f"{later}: [Errno 2] No such file or directory: '{tmp_path / later}'")
 
 
 def test_non_finite_score_names_the_pair(scoring_inputs, capsys):

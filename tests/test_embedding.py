@@ -150,6 +150,15 @@ class TestLoadTextEmbeddings:
         assert str(raised.value) == f"surface {surface!r} is empty or holds whitespace"
         assert stream.getvalue() == ""
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_a_non_finite_value_before_writing_any_line(self, value):
+        table = EmbeddingTable(dim=2, vectors={"a": np.ones(2), "b": np.array([value, 1.0])})
+        stream = io.StringIO()
+        with pytest.raises(FormatError) as raised:
+            save_text_embeddings(table, stream)
+        assert str(raised.value) == "non-finite value in the row of 'b'"
+        assert stream.getvalue() == ""
+
 
 class TestFormatRow:
     def test_matches_per_value_format_on_adversarial_values(self):
