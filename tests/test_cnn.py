@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simfuse.attention import weighted_pair_matrices
-from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _windows,
+from simfuse import embedding
+from simfuse.attention import pair_attention, weighted_pair_matrices
+from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _row_store, _windows,
                          cnn_forward, cnn_train, gradient_check, init_params,
                          load_cnn_params, loss_and_gradients,
                          max_relative_error, numeric_gradients,
@@ -722,3 +723,84 @@ def test_cnn_train_keeps_no_weighted_matrix_per_sentence():
     finally:
         tracemalloc.stop()
     assert peak < weighted_bytes / 2, f"traced peak {peak / 2**20:.2f} MiB"
+
+
+def _row_store_oracle(dataset, table, n_max, k):
+    """``_row_store`` as the rows ``pair_attention`` embedded: a copied
+    matrix row per distinct word, and per-token lists of indices and weights."""
+    store_index, store_rows = {}, [np.zeros(table.dim)]
+    ids, weights, lengths = [], [], []
+    for pair in dataset:
+        mat_a, weights_a, mat_b, weights_b = pair_attention(pair.a, pair.b, table, n_max)
+        for words, mat, mat_weights in ((pair.a.words, mat_a, weights_a),
+                                        (pair.b.words, mat_b, weights_b)):
+            for i, word in enumerate(words[: len(mat)]):
+                if word not in store_index:
+                    store_index[word] = len(store_rows)
+                    store_rows.append(mat[i].copy())
+                ids.append(store_index[word])
+            pad = max(k - len(mat), 0)
+            ids += [0] * pad
+            weights += mat_weights.tolist() + [0.0] * pad
+            lengths.append(len(mat) + pad)
+    return np.array(store_rows), np.array(ids), np.array(weights), np.array(lengths)
+
+
+def _row_store_set():
+    """Pairs with OOV words, a sentence shorter than the kernel, sentences
+    longer than n_max = 6, and words repeated within and across sentences."""
+    sentences = [
+        ("in0 in1 in2 in3", "in1 oov0 in4 in1"),
+        ("in5", "in5 in6 oov1 oov2 oov3 in0 in7 in8 oov4"),
+        ("oov5 oov0 in9 in9 in9 oov5 in2 in3 oov6", "oov7"),
+        ("in4 oov8", "in2 in10 oov9 oov10 in11 in0 oov11"),
+        ("oov1 oov12 oov13 oov14 oov15 oov16 oov17", "in3 in1 oov12 in12"),
+    ]
+    pairs = tuple(LabeledPair(id=str(i), a=Sentence(a.split()), b=Sentence(b.split()),
+                              label=float(i % 2))
+                  for i, (a, b) in enumerate(sentences))
+    return Dataset(pairs=pairs, label_kind=BINARY)
+
+
+@pytest.mark.parametrize("kernel_width", [1, 3, 5])
+@pytest.mark.parametrize("cache_rows", [embedding.OOV_CACHE_ROWS, 3])
+def test_row_store_matches_the_copied_rows_and_per_token_lists(monkeypatch, kernel_width,
+                                                               cache_rows):
+    # with 3 cache rows, the OOV cache is emptied during the walk, and the
+    # store's OOV rows are drawn again after it
+    monkeypatch.setattr(embedding, "OOV_CACHE_ROWS", cache_rows)
+    dataset, vocab = _row_store_set(), [f"in{i}" for i in range(13)]
+    got = _row_store(dataset, toy_table(vocab, dim=7), 6, kernel_width)
+    want = _row_store_oracle(dataset, toy_table(vocab, dim=7), 6, kernel_width)
+    assert len(got) == 4
+    for name, g, w in zip(("store", "ids", "weights", "lengths"), got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+        assert g.tobytes() == w.tobytes(), name
+    distinct = {word for pair in dataset for s in (pair.a, pair.b) for word in s.words[:6]}
+    assert len(got[0]) == 1 + len(distinct)
+    assert len(distinct - set(vocab)) > 3  # more OOV words than the small cache holds
+    assert got[3].min() >= kernel_width
+
+
+def test_row_store_allocates_little_beyond_what_it_returns():
+    # 2,500 distinct in-vocabulary words in 600 pairs of 4-16 tokens at dim 64:
+    # a copied row per word, then stacked, peaks at over twice the returned bytes
+    vocab = [f"word{i}" for i in range(2_500)]
+    rng = np.random.default_rng(31)
+    order = rng.permutation(vocab).tolist()
+    pairs = []
+    for i in range(600):
+        words = [order.pop() if order else rng.choice(vocab) for _ in range(rng.integers(4, 17))]
+        other = rng.choice(vocab, rng.integers(4, 17)).tolist()
+        pairs.append(LabeledPair(id=str(i), a=Sentence(words), b=Sentence(other),
+                                 label=float(i % 2)))
+    dataset, table = Dataset(pairs=tuple(pairs), label_kind=BINARY), toy_table(vocab, dim=64)
+    tracemalloc.start()
+    try:
+        returned = _row_store(dataset, table, DEFAULT_N_MAX, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(returned[0]) == 1 + 2_500
+    returned_bytes = sum(array.nbytes for array in returned)
+    assert peak < 1.8 * returned_bytes, f"traced peak {peak / returned_bytes:.2f} x returned"
