@@ -37,7 +37,8 @@ import numpy as np
 # perfbench/tests/test_perfbench.py looks it up on this module
 from .attention import pair_attention, weighted_pair_matrices  # noqa: F401
 from .corpus import BINARY, Dataset
-from .embedding import EmbeddingTable, format_row, lookup, parse_int, parse_row, read_sections
+from .embedding import (EmbeddingTable, check_n_max, format_row, lookup, parse_int, parse_row,
+                        read_sections)
 from .errors import FormatError, LabelKindError, check_int
 from .nn import (TrainConfig, bce_from_logit, central_differences, check_finite, check_head,
                  fan_in_uniform, head_logit, head_loss_and_grads, init_head, sigmoid, sgd)
@@ -215,28 +216,28 @@ def _row_store(dataset: Dataset, table: EmbeddingTable, n_max: int, k: int) -> t
     alternating), each sentence padded to ``k`` with index 0 and weight 0;
     ``lengths`` holds each sentence's padded length.
 
-    The walk keeps, per sentence, one index array and the weight array
-    ``pair_attention`` returned, and drops each pair's embedded matrices;
-    the store is built after it, from one ``lookup`` per distinct word, the
-    rows ``embed_sentence`` copied (an OOV vector is a fixed function of its
-    surface, so one drawn again after the cache was emptied has the same bits).
+    ``ids`` and ``weights`` are allocated once, zero-filled, from the padded
+    lengths, and the walk writes each sentence's indices and weights into its
+    slice, dropping each pair's embedded matrices; the store is built after
+    it, from one ``lookup`` per distinct word, the rows ``embed_sentence``
+    copied (an OOV vector is a fixed function of its surface, so one drawn
+    again after the cache was emptied has the same bits).
     """
+    check_n_max(n_max)
+    lengths = np.array([max(min(len(sentence), n_max), k) for pair in dataset
+                        for sentence in (pair.a, pair.b)], dtype=np.intp)
+    ids = np.zeros(lengths.sum(), dtype=np.intp)
+    weights = np.zeros(len(ids))
     store_index: dict[str, int] = {}
-    sentence_ids, sentence_weights = [], []
-    for pair in dataset:
+    # the list of starts is freed as the loop ends, before the store is allocated
+    for pair, starts in zip(dataset, (np.cumsum(lengths) - lengths).reshape(-1, 2).tolist()):
         _, weights_a, _, weights_b = pair_attention(pair.a, pair.b, table, n_max)
-        for words, mat_weights in ((pair.a.words, weights_a), (pair.b.words, weights_b)):
-            pad = max(k - len(mat_weights), 0)
-            sentence_ids.append(np.array(
-                [store_index.setdefault(word, len(store_index) + 1)
-                 for word in words[: len(mat_weights)]] + [0] * pad, dtype=np.intp))
-            sentence_weights.append(np.concatenate([mat_weights, np.zeros(pad)])
-                                    if pad else mat_weights)
-    lengths = np.array([len(sentence) for sentence in sentence_ids], dtype=np.intp)
-    # a leading empty array keeps an empty dataset to sgd's DegenerateData
-    ids = np.concatenate([np.empty(0, np.intp), *sentence_ids])
-    weights = np.concatenate([np.empty(0), *sentence_weights])
-    sentence_ids = sentence_weights = None  # freed before the store is allocated
+        for start, words, mat_weights in zip(starts, (pair.a.words, pair.b.words),
+                                             (weights_a, weights_b)):
+            stop = start + len(mat_weights)
+            ids[start:stop] = [store_index.setdefault(word, len(store_index) + 1)
+                               for word in words[: len(mat_weights)]]
+            weights[start:stop] = mat_weights
     store = np.empty((1 + len(store_index), table.dim))
     store[0] = 0.0
     for row, word in enumerate(store_index, start=1):

@@ -4,10 +4,15 @@ A sentence is three equal-length tuples: its words and, per word, an
 optional grammatical role (subject/predicate/object/attribute/adverbial/
 complement/none) and an optional part-of-speech tag.  All types here are
 immutable; every operation returns new objects.
+
+Parsed surfaces, POS tags and roles are interned, so a word repeated across
+a file is one object; ``Sentence`` and ``LabeledPair`` are slotted (no ``__dict__``).
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -28,9 +33,12 @@ ZERO_IS_SIMILAR = "zero_is_similar"
 LABEL_CONVENTIONS = (ONE_IS_SIMILAR, ZERO_IS_SIMILAR)
 
 _PUNCT = ".,!?;:'\"()"
+_HAS_PUNCT = re.compile(f"[{re.escape(_PUNCT)}]").search
+# one all-None tuple per sentence length, shared by the default roles and pos
+_NONES: dict[int, tuple[None, ...]] = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     """A tokenized sentence: its words and, word by word, a grammatical role
     and a part-of-speech tag, ``None`` where absent.
@@ -54,7 +62,7 @@ class Sentence:
         # drops empty strings, so this fails for an empty or spaced word
         if " ".join(words).split() != list(words):
             raise ValueError(f"empty word or word with whitespace in {words!r}")
-        none = (None,) * len(words)
+        none = _NONES.get(len(words)) or _NONES.setdefault(len(words), (None,) * len(words))
         roles = none if self.roles is None else tuple(self.roles)
         pos = none if self.pos is None else tuple(self.pos)
         if len(roles) != len(words) or len(pos) != len(words):
@@ -79,7 +87,7 @@ class Sentence:
         return Sentence(self.words[:n], self.roles[:n], self.pos[:n])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledPair:
     """One labeled sentence pair.
 
@@ -118,8 +126,11 @@ def tokenize(raw: str) -> Sentence:
 
     Raises EmptySentence on empty or whitespace-only input.
     """
+    lowered = raw.lower()
+    if _HAS_PUNCT(lowered) is None:
+        return Sentence(tuple(map(sys.intern, lowered.split())))
     words: list[str] = []
-    for chunk in raw.lower().split():
+    for chunk in lowered.split():
         core = chunk.lstrip(_PUNCT)
         word = core.rstrip(_PUNCT)
         if len(core) < len(chunk):
@@ -128,7 +139,7 @@ def tokenize(raw: str) -> Sentence:
             words.append(word)
         if len(word) < len(core):
             words.append(core[len(word) :])
-    return Sentence(tuple(words))
+    return Sentence(tuple(map(sys.intern, words)))
 
 
 def parse_annotated(raw: str) -> Sentence:
@@ -150,9 +161,9 @@ def parse_annotated(raw: str) -> Sentence:
             raise FormatError(f"unknown role {role!r} in {part!r}")
         if not surface:
             raise FormatError(f"empty surface in {part!r}")
-        words.append(surface)
-        pos.append(None if tag == "_" else tag)
-        roles.append(role)
+        words.append(sys.intern(surface))
+        pos.append(None if tag == "_" else sys.intern(tag))
+        roles.append(role and sys.intern(role))
     return Sentence(tuple(words), tuple(roles), tuple(pos))
 
 

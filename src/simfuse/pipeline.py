@@ -38,7 +38,7 @@ from .nn import TrainConfig
 CALIBRATION_FACTORS = ("accuracy", "precision", "recall", "f1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairScores:
     """The three component scores plus the fused score and prediction."""
 
@@ -252,7 +252,8 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     output is byte-deterministic.  Every file is written into a temporary
     directory inside ``directory`` and moved into place only once all of them
     are written (manifest.tsv last), and the temporary directory is removed, so
-    a refused save leaves the files already in ``directory`` as they were.
+    a refused save leaves the files already in ``directory`` as they were and
+    removes the directories it made.
     What would not read back is a FormatError: a table surface holding a line
     break (vocab.txt), a TF-IDF term holding a tab or line break (stats.tsv) or
     a non-finite table value (embeddings.npy).
@@ -268,6 +269,7 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
         bad = min(t for t in bundle.stats.pair_doc_freq if re.search("[\t\n\r]", t))
         raise FormatError(f"stats.tsv: term {bad!r} holds a tab or line break")
     directory = Path(directory)
+    created = [path for path in (directory, *directory.parents) if not path.exists()]
     directory.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".saving-", dir=directory))
     try:
@@ -290,7 +292,11 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
             # free name
             (directory / name).unlink(missing_ok=True)
             os.replace(staging / name, directory / name)
-    finally:
+    except BaseException:
+        # the outermost directory this save made holds the temporary one
+        shutil.rmtree(created[-1] if created else staging)
+        raise
+    else:
         shutil.rmtree(staging)
 
 

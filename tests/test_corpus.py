@@ -1,12 +1,15 @@
+import dataclasses
 import io
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from simfuse.corpus import (BINARY, GRADED, ZERO_IS_SIMILAR, Dataset, Sentence,
+from simfuse.corpus import (BINARY, GRADED, ZERO_IS_SIMILAR, Dataset, LabeledPair, Sentence,
                             parse_annotated, parse_pair_file, tokenize)
 from simfuse.errors import ConfigError, EmptySentence, FormatError
+from simfuse.pipeline import PairScores
 
 
 class TestTokenize:
@@ -64,8 +67,12 @@ def _loop_tokenize_words(raw):
 
 class TestTokenizeOracle:
     FIXED = ["...", "wait ...", "can't", "Can't stop!", '"(x)."', "(x).", "'", "(", ")",
-             "Ça va?", "(Straße).", "«Ελλάδα»!", "日本語。", "naïve... café,", "x'y'z"]
+             "Ça va?", "(Straße).", "«Ελλάδα»!", "日本語。", "naïve... café,", "x'y'z",
+             "Ça VA", "a\tb  c", "ΣΊΣΥΦΟΣ İstanbul", "\u00a0x\u2003Y\n"]
     ALPHABET = list("aZé日ß ') (.,!?;:\"\t") + ["can't", "Σ"]
+    # no _PUNCT: tokenize's split-only branch; upper-case and non-ASCII
+    # letters whose lower() differs, among them İ, which lowers to two
+    PLAIN = list("aZéÉÇ日ßẞΣİ \t\u00a0-") + ["Can", "ΟΔΟΣ"]
 
     @staticmethod
     def _assert_same(raw):
@@ -84,8 +91,9 @@ class TestTokenizeOracle:
 
     def test_random_strings_seeded(self):
         rng = np.random.default_rng(12)
-        for _ in range(2000):
-            parts = rng.choice(self.ALPHABET, size=int(rng.integers(0, 14)))
+        for i in range(4000):
+            alphabet = self.PLAIN if i % 2 else self.ALPHABET
+            parts = rng.choice(alphabet, size=int(rng.integers(0, 14)))
             self._assert_same("".join(parts))
 
 
@@ -211,3 +219,71 @@ class TestTypes:
     def test_dataset_rejects_unknown_kind(self):
         with pytest.raises(ConfigError, match="^unknown label_kind 'fuzzy'$"):
             Dataset(pairs=(), label_kind="fuzzy")
+
+
+class TestRecordLayout:
+    @staticmethod
+    def _assert_equal_strings_are_one_object(strings):
+        first = {}
+        for string in strings:
+            assert first.setdefault(string, string) is string, string
+
+    def test_equal_raw_surfaces_of_a_file_are_one_object(self):
+        ds = parse_pair_file(io.StringIO("1\tThe cat sat.\tthe dog sat\t1\n"
+                                         "2\t(The) dog, the cat\tCAT\t0\n"), BINARY)
+        words = [w for pair in ds for sentence in (pair.a, pair.b) for w in sentence.words]
+        assert words.count("the") == 4 and words.count("cat") == 3
+        self._assert_equal_strings_are_one_object(words)
+
+    def test_equal_annotated_fields_of_a_file_are_one_object(self):
+        ds = parse_pair_file(io.StringIO(
+            "1\tcat|NOUN|SUBJ sat|VERB|PRED\tdog|NOUN|SUBJ sat|VERB|_\t1\n"
+            "2\tthe|DET|ATTR cat|NOUN|OBJ\tcat|_|SUBJ\t0\n"), BINARY)
+        sentences = [sentence for pair in ds for sentence in (pair.a, pair.b)]
+        for field in ("words", "pos", "roles"):
+            values = [v for sentence in sentences for v in getattr(sentence, field)
+                      if v is not None]
+            assert len(values) > len(set(values)), field
+            self._assert_equal_strings_are_one_object(values)
+
+    def test_default_annotations_of_one_length_are_one_tuple(self):
+        first, second = tokenize("one two"), Sentence(("three", "four"))
+        assert first.roles is first.pos is second.roles is second.pos == (None, None)
+        assert Sentence(("five",)).roles == (None,)
+
+    @pytest.mark.parametrize("record, field", [
+        (Sentence(("a", "b")), "words"),
+        (LabeledPair(id="p", a=Sentence(("a",)), b=Sentence(("b",)), label=1.0), "label"),
+        (PairScores(jaccard=0.5, w2vcnn=0.25, tfidf=0.0, fused=0.5, predicted="similar"),
+         "fused")])
+    def test_records_are_slotted_and_frozen(self, record, field):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises((AttributeError, TypeError)):  # TypeError from 3.11's dataclasses
+            record.extra = 1
+        assert dataclasses.replace(record) == record
+        as_dict = dataclasses.asdict(record)
+        assert list(as_dict) == [f.name for f in dataclasses.fields(record)]
+        assert as_dict[field] == getattr(record, field)
+
+
+def test_a_parsed_file_holds_little_memory():
+    """4,000 pairs of 3-8 words from a 2,000-word vocabulary: the records and
+    their interned strings, without the file's lines."""
+    rng = np.random.default_rng(5)
+    letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+    vocab = ["".join(rng.choice(letters, size=3 + i % 8)) for i in range(2000)]
+
+    def sentence():
+        return " ".join(vocab[i] for i in rng.integers(0, len(vocab), rng.integers(3, 9)))
+
+    lines = [f"p{i}\t{sentence()}\t{sentence()}\t{i % 2}\n" for i in range(4000)]
+    tracemalloc.start()
+    try:
+        dataset = parse_pair_file(lines, BINARY)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset) == 4000
+    assert held <= 2.5 * 2**20, f"{held / 2**20:.2f} MiB"

@@ -12,7 +12,8 @@ child process with BLAS pinned to one thread: set-up (parse the training
 pairs, load the text embeddings), ``build_stats``, ``cnn_train``,
 ``component_scores`` of every training pair, ``weights_from_scores`` and
 ``train_fusion``, ``save_bundle``, then, with the training objects dropped,
-``load_bundle`` and a scoring pass over the test split.  After the imports and
+``load_bundle``, the parse of the test split and a scoring pass over it, so
+the parsed pairs' share of the scoring peak shows.  After the imports and
 after each phase it prints one tab-separated line: the phase, the process's
 peak resident size so far (``ru_maxrss``) and its current resident size, both
 in MiB.  Nothing under ``perfbench/`` or ``SRC_DIR`` is written: the child
@@ -78,6 +79,7 @@ def _round(workload_name: str, inputs: Path) -> None:
     _report("load_bundle")
     with open(inputs / "test.tsv", encoding="utf-8") as stream:
         test = corpus.parse_pair_file(stream, corpus.BINARY)
+    _report("parse_test")
     for pair in test:
         pipeline.score_with_bundle(bundle, pair)
     _report("score_pass")
