@@ -5,14 +5,13 @@ optional grammatical role (subject/predicate/object/attribute/adverbial/
 complement/none) and an optional part-of-speech tag.  All types here are
 immutable; every operation returns new objects.
 
-Parsed surfaces, POS tags and roles are interned, so a word repeated across
-a file is one object; ``Sentence`` and ``LabeledPair`` are slotted (no ``__dict__``).
+``parse_pair_file`` keeps one copy of each equal surface, POS tag and role
+it parses, so a word repeated across a file is one object; ``Sentence`` and
+``LabeledPair`` are slotted (no ``__dict__``).
 """
 
 from __future__ import annotations
 
-import re
-import sys
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -33,9 +32,8 @@ ZERO_IS_SIMILAR = "zero_is_similar"
 LABEL_CONVENTIONS = (ONE_IS_SIMILAR, ZERO_IS_SIMILAR)
 
 _PUNCT = ".,!?;:'\"()"
-_HAS_PUNCT = re.compile(f"[{re.escape(_PUNCT)}]").search
-# one all-None tuple per sentence length, shared by the default roles and pos
-_NONES: dict[int, tuple[None, ...]] = {}
+# the default roles and pos of every sentence of one length up to 64
+_NONES = {n: (None,) * n for n in range(1, 65)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,7 +60,7 @@ class Sentence:
         # drops empty strings, so this fails for an empty or spaced word
         if " ".join(words).split() != list(words):
             raise ValueError(f"empty word or word with whitespace in {words!r}")
-        none = _NONES.get(len(words)) or _NONES.setdefault(len(words), (None,) * len(words))
+        none = _NONES.get(len(words)) or (None,) * len(words)
         roles = none if self.roles is None else tuple(self.roles)
         pos = none if self.pos is None else tuple(self.pos)
         if len(roles) != len(words) or len(pos) != len(words):
@@ -118,19 +116,18 @@ class Dataset:
         return iter(self.pairs)
 
 
-def tokenize(raw: str) -> Sentence:
+def tokenize(raw: str, strings: dict[str, str] | None = None) -> Sentence:
     """Whitespace tokenization with punctuation splitting and lowercasing.
 
     A maximal run of leading or trailing punctuation on a chunk becomes its
     own word; punctuation inside a chunk (e.g. "can't") is left alone.
+    ``strings`` maps each string to the one copy of it to keep: a word equal
+    to one seen before through the same dict is that object.
 
     Raises EmptySentence on empty or whitespace-only input.
     """
-    lowered = raw.lower()
-    if _HAS_PUNCT(lowered) is None:
-        return Sentence(tuple(map(sys.intern, lowered.split())))
     words: list[str] = []
-    for chunk in lowered.split():
+    for chunk in raw.lower().split():
         core = chunk.lstrip(_PUNCT)
         word = core.rstrip(_PUNCT)
         if len(core) < len(chunk):
@@ -139,16 +136,19 @@ def tokenize(raw: str) -> Sentence:
             words.append(word)
         if len(word) < len(core):
             words.append(core[len(word) :])
-    return Sentence(tuple(map(sys.intern, words)))
+    share = {}.setdefault if strings is None else strings.setdefault
+    return Sentence(tuple(map(share, words, words)))
 
 
-def parse_annotated(raw: str) -> Sentence:
+def parse_annotated(raw: str, strings: dict[str, str] | None = None) -> Sentence:
     """Parse the inline ``surface|POS|ROLE`` word format.
 
-    POS and ROLE may be ``_`` meaning absent.  Raises FormatError on a
+    POS and ROLE may be ``_`` meaning absent; ``strings`` is as for
+    ``tokenize``, for surfaces, tags and roles.  Raises FormatError on a
     wrong field count, an empty surface or an unrecognised role, and
     EmptySentence on empty or whitespace-only input.
     """
+    share = {}.setdefault if strings is None else strings.setdefault
     words, pos, roles = [], [], []
     for part in raw.split():
         fields = part.split("|")
@@ -161,9 +161,9 @@ def parse_annotated(raw: str) -> Sentence:
             raise FormatError(f"unknown role {role!r} in {part!r}")
         if not surface:
             raise FormatError(f"empty surface in {part!r}")
-        words.append(sys.intern(surface))
-        pos.append(None if tag == "_" else sys.intern(tag))
-        roles.append(role and sys.intern(role))
+        words.append(share(surface, surface))
+        pos.append(None if tag == "_" else share(tag, tag))
+        roles.append(role and share(role, role))
     return Sentence(tuple(words), tuple(roles), tuple(pos))
 
 
@@ -184,11 +184,11 @@ def _parse_label(text: str, label_kind: str, convention: str, lineno: int) -> fl
     return value
 
 
-def _parse_sentence(text: str) -> Sentence:
+def _parse_sentence(text: str, strings: dict[str, str]) -> Sentence:
     # Annotated format is auto-detected by the presence of '|'.
     if "|" in text:
-        return parse_annotated(text)
-    return tokenize(text)
+        return parse_annotated(text, strings)
+    return tokenize(text, strings)
 
 
 def parse_pair_file(stream: IO[str] | Iterable[str], label_kind: str,
@@ -197,12 +197,14 @@ def parse_pair_file(stream: IO[str] | Iterable[str], label_kind: str,
 
     Lines starting with ``#`` and empty lines are ignored.  Sentences
     containing ``|`` are parsed as annotated, others are tokenized raw.
+    Equal surfaces, POS tags and roles of the file are one string object.
     Raises ConfigError on an unknown ``label_kind`` or ``convention`` before
     any line is read, and FormatError naming the line of a malformed row.
     """
     check_choice("label_kind", label_kind, LABEL_KINDS)
     check_choice("label_convention", convention, LABEL_CONVENTIONS)
     pairs = []
+    strings: dict[str, str] = {}  # freed with the call, unlike sys.intern's table
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n").rstrip("\r")
         if not line.strip() or line.startswith("#"):
@@ -212,8 +214,8 @@ def parse_pair_file(stream: IO[str] | Iterable[str], label_kind: str,
             raise FormatError(f"line {lineno}: expected 4 tab-separated columns, got {len(columns)}")
         pair_id, text_a, text_b, label_text = columns
         try:
-            a = _parse_sentence(text_a)
-            b = _parse_sentence(text_b)
+            a = _parse_sentence(text_a, strings)
+            b = _parse_sentence(text_b, strings)
         except (FormatError, EmptySentence) as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
         label = _parse_label(label_text.strip(), label_kind, convention, lineno)

@@ -253,7 +253,7 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     directory inside ``directory`` and moved into place only once all of them
     are written (manifest.tsv last), and the temporary directory is removed, so
     a refused save leaves the files already in ``directory`` as they were and
-    removes the directories it made.
+    removes the directories it made that are still empty.
     What would not read back is a FormatError: a table surface holding a line
     break (vocab.txt), a TF-IDF term holding a tab or line break (stats.tsv) or
     a non-finite table value (embeddings.npy).
@@ -268,7 +268,7 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     if re.search("[\t\n\r]", "".join(bundle.stats.pair_doc_freq)):  # load_stats splits there
         bad = min(t for t in bundle.stats.pair_doc_freq if re.search("[\t\n\r]", t))
         raise FormatError(f"stats.tsv: term {bad!r} holds a tab or line break")
-    directory = Path(directory)
+    directory = Path(directory).resolve()  # so created lists what mkdir makes, ".." or not
     created = [path for path in (directory, *directory.parents) if not path.exists()]
     directory.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".saving-", dir=directory))
@@ -293,11 +293,14 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
             (directory / name).unlink(missing_ok=True)
             os.replace(staging / name, directory / name)
     except BaseException:
-        # the outermost directory this save made holds the temporary one
-        shutil.rmtree(created[-1] if created else staging)
-        raise
-    else:
         shutil.rmtree(staging)
+        for path in created:  # innermost first, up to the first one not empty
+            try:
+                path.rmdir()
+            except OSError:
+                break
+        raise
+    shutil.rmtree(staging)
 
 
 def _read_manifest(stream: IO[str]) -> tuple[int, dict[str, str]]:

@@ -309,17 +309,33 @@ class TestEmbeddingsRoundTrip:
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
         TestGoldenFormat._assert_is_the_tiny_bundle(load_bundle(tmp_path))
 
-    # the directories the save made go; those that were there stay, empty
-    @pytest.mark.parametrize("existing, left", [
-        ("", []), ("old", ["old"]), ("old/new/model", ["old", "old/new", "old/new/model"])])
-    def test_a_refused_save_removes_the_directories_it_made(self, tmp_path, existing, left):
+    # the directories the save made go; those that were there stay, empty,
+    # and so does one another writer put a file into while the save ran
+    @pytest.mark.parametrize("existing, target, other, left", [
+        ("", "new/model", "", []),
+        ("old", "old/new/model", "", ["old"]),
+        ("old/new/model", "old/new/model", "", ["old", "old/new", "old/new/model"]),
+        ("", "new/model", "new/other", ["new", "new/other"]),
+        ("", "x/../new/model", "", [])])
+    def test_a_refused_save_removes_the_directories_it_made(self, tmp_path, monkeypatch,
+                                                            existing, target, other, left):
         (tmp_path / existing).mkdir(parents=True, exist_ok=True)
+        save_stats = pipeline.save_stats
+
+        def save_stats_beside_another_writer(stats, stream):
+            if other:
+                (tmp_path / other).write_text("kept")
+            save_stats(stats, stream)
+
+        monkeypatch.setattr(pipeline, "save_stats", save_stats_beside_another_writer)
         bundle = dataclasses.replace(tiny_bundle(), table=EmbeddingTable(
             dim=2, vectors={"a": np.array([np.inf, 1.0])}))
         with pytest.raises(FormatError, match="^embeddings.npy: non-finite value in the row "
                                               "of 'a'$"):
-            save_bundle(bundle, tmp_path / "old/new/model" if existing else tmp_path / "new/model")
+            save_bundle(bundle, tmp_path / target)
         assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == left
+        if other:
+            assert (tmp_path / other).read_text() == "kept"
 
     def test_a_save_over_a_bundle_leaves_no_other_file(self, tmp_path, trained_bundle):
         save_bundle(tiny_bundle(), tmp_path)
