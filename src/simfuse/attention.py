@@ -107,10 +107,19 @@ def apply_attention(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return matrix * weights[:, np.newaxis]
 
 
+def matrix_attention(a: Sentence, mat_a: np.ndarray, b: Sentence,
+                     mat_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column weights of a pair whose matrices hold one row per
+    word of ``a`` and of ``b``: their cosine grid and position terms, softmaxed."""
+    row_vec, col_vec = marginal_sums(cosine_matrix(mat_a, mat_b))
+    pos_row, pos_col = position_weights(a, b)
+    return attention_weights(row_vec, pos_row, col_vec, pos_col)
+
+
 def pair_attention(a: Sentence, b: Sentence, table: EmbeddingTable,
                    n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Attention for one pair, before it is applied: embed both sentences,
-    build the cosine grid and position terms, and softmax them.  Returns
+    """Attention for one pair, before it is applied: embed both sentences
+    and weight their rows by ``matrix_attention``.  Returns
     ``(mat_a, row_weights, mat_b, col_weights)``, each matrix with one weight
     per row.
 
@@ -122,10 +131,7 @@ def pair_attention(a: Sentence, b: Sentence, table: EmbeddingTable,
     b = b.truncated(n_max)
     mat_a = embed_sentence(table, a, n_max)
     mat_b = embed_sentence(table, b, n_max)
-    grid = cosine_matrix(mat_a, mat_b)
-    row_vec, col_vec = marginal_sums(grid)
-    pos_row, pos_col = position_weights(a, b)
-    row_weights, col_weights = attention_weights(row_vec, pos_row, col_vec, pos_col)
+    row_weights, col_weights = matrix_attention(a, mat_a, b, mat_b)
     return mat_a, row_weights, mat_b, col_weights
 
 

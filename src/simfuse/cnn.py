@@ -14,15 +14,16 @@ Scoring runs one pair at a time: ``cnn_forward`` convolves each sentence's
 windows with one matmul and max-pools before the ReLU, which picks the
 same value as pooling after it, and keeps no intermediate values; the
 numeric gradients run the same forward pass.  Training runs one mini-batch
-at a time.  ``cnn_train`` runs every training pair's attention once and
-keeps no weighted or embedded matrix: it keeps, per sentence, its rows'
-store indices and attention weights, and one row store (a zero row for
-padding, then one row per distinct truncated word of the training pairs,
-built after the attention pass from one ``lookup`` per word).  A batch
-gathers its rows from the store and scales each by its weight, the products
-``apply_attention`` computes, into one stacked token-row matrix;
-``loss_and_gradients`` convolves all its windows at once and max-pools each
-sentence over its own windows, in one gather and one argmax.
+at a time.  ``cnn_train`` keeps no weighted or embedded matrix: it keeps,
+per sentence, its rows' store indices and attention weights, and one row
+store (a zero row for padding, then one row per distinct truncated word of
+the training pairs, from one ``lookup`` per word).  The store is built
+first, and every training pair's attention runs once, on rows taken from
+it.  A batch gathers its rows from the store and scales each by its weight,
+the products ``apply_attention`` computes, into one stacked token-row
+matrix; ``loss_and_gradients`` convolves all its windows at once into one
+buffer and max-pools each sentence over its own windows, in one gather and
+one argmax.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 # weighted_pair_matrices is not called here: the name stays bound because
 # perfbench/tests/test_perfbench.py looks it up on this module
-from .attention import pair_attention, weighted_pair_matrices  # noqa: F401
+from .attention import matrix_attention, weighted_pair_matrices  # noqa: F401
 from .corpus import BINARY, Dataset
 from .embedding import (EmbeddingTable, check_n_max, format_row, lookup, parse_int, parse_row,
                         read_sections)
@@ -162,9 +163,10 @@ def loss_and_gradients(params: CnnParams, rows: np.ndarray, lengths: np.ndarray,
     (the B first sentences, then the B second ones, each padded with zero rows
     to at least ``k``), and ``lengths`` holds their padded row counts.  Every
     window position of the stack, straddling two sentences or not, is
-    convolved at once, one matmul per kernel row.  One gather and argmax over
-    each sentence's own windows find every filter's winner, for the value and
-    the gradient.
+    convolved at once, one matmul per kernel row summed in place into one
+    ``(F, positions)`` buffer, which later holds the gradient.  One gather and
+    argmax along its rows, over each sentence's own windows, find every
+    filter's winner, kept in C order: the head's bits depend on ``z``'s layout.
     """
     k, n_filters = params.kernel_width, params.n_filters
     lengths = np.asarray(lengths)
@@ -178,13 +180,18 @@ def loss_and_gradients(params: CnnParams, rows: np.ndarray, lengths: np.ndarray,
     # that no (windows, k * d) copy is made
     n_positions = len(rows) - k + 1
     shifted = [rows[i : i + n_positions] for i in range(k)]
-    pre = params.filter_bias[:, None] + sum(
-        params.filters[:, i] @ shifted[i].T for i in range(k))  # (F, positions)
+    # (F, positions), bitwise sum()'s: adding 0.0 first turns -0.0 into 0.0 as its start does
+    pre = params.filters[:, 0] @ shifted[0].T
+    pre += 0.0
+    for i in range(1, k):
+        pre += params.filters[:, i] @ shifted[i].T
+    pre += params.filter_bias[:, None]
     # (2B, W): each sentence's window positions, a slot past its last window
     # repeating it, which cannot win: argmax takes the first of equal values
     window = np.minimum(starts[:, None] + np.arange(lengths.max() - k + 1),
                         (starts + lengths - k)[:, None])
-    won = starts[:, None] + pre.T[window].argmax(axis=1)  # (2B, F): max-pool winners
+    # (2B, F): max-pool winners, in the C order that z then takes
+    won = np.ascontiguousarray(pre.take(window, axis=1).argmax(axis=2).T) + starts[:, None]
     top = pre[np.arange(n_filters), won]
     feats = np.maximum(top, 0.0)
 
@@ -197,7 +204,8 @@ def loss_and_gradients(params: CnnParams, rows: np.ndarray, lengths: np.ndarray,
     sign = np.sign(fa - fb)
     dfeats = np.concatenate([dabs * sign + dprod * fb, -dabs * sign + dprod * fa])
     dtop = dfeats * (top > 0.0)
-    dpre = np.zeros_like(pre)
+    dpre = pre  # the pre-activations are read no more
+    dpre.fill(0.0)
     dpre[np.arange(n_filters), won] = dtop
     grads = {
         "filters": np.stack([dpre @ part for part in shifted], axis=1),
@@ -216,32 +224,36 @@ def _row_store(dataset: Dataset, table: EmbeddingTable, n_max: int, k: int) -> t
     alternating), each sentence padded to ``k`` with index 0 and weight 0;
     ``lengths`` holds each sentence's padded length.
 
-    ``ids`` and ``weights`` are allocated once, zero-filled, from the padded
-    lengths, and the walk writes each sentence's indices and weights into its
-    slice, dropping each pair's embedded matrices; the store is built after
-    it, from one ``lookup`` per distinct word, the rows ``embed_sentence``
-    copied (an OOV vector is a fixed function of its surface, so one drawn
-    again after the cache was emptied has the same bits).
+    ``ids`` and ``weights`` are allocated once, zero-filled.  A first walk
+    writes every sentence's store indices; each distinct word is then looked
+    up once, before the store is allocated, so that no OOV vector the table
+    caches sits above the store on the heap.  A second walk runs
+    ``matrix_attention`` on each pair's rows taken from the store, the bytes
+    ``embed_sentence`` would copy, and writes the weights.
     """
     check_n_max(n_max)
     lengths = np.array([max(min(len(sentence), n_max), k) for pair in dataset
                         for sentence in (pair.a, pair.b)], dtype=np.intp)
     ids = np.zeros(lengths.sum(), dtype=np.intp)
     weights = np.zeros(len(ids))
+    starts = (np.cumsum(lengths) - lengths).reshape(-1, 2)
     store_index: dict[str, int] = {}
-    # the list of starts is freed as the loop ends, before the store is allocated
-    for pair, starts in zip(dataset, (np.cumsum(lengths) - lengths).reshape(-1, 2).tolist()):
-        _, weights_a, _, weights_b = pair_attention(pair.a, pair.b, table, n_max)
-        for start, words, mat_weights in zip(starts, (pair.a.words, pair.b.words),
-                                             (weights_a, weights_b)):
-            stop = start + len(mat_weights)
-            ids[start:stop] = [store_index.setdefault(word, len(store_index) + 1)
-                               for word in words[: len(mat_weights)]]
-            weights[start:stop] = mat_weights
-    store = np.empty((1 + len(store_index), table.dim))
+    for pair, pair_starts in zip(dataset, starts.tolist()):
+        for start, sentence in zip(pair_starts, (pair.a, pair.b)):
+            words = sentence.words[:n_max]
+            ids[start : start + len(words)] = [
+                store_index.setdefault(word, len(store_index) + 1) for word in words]
+    vectors = [lookup(table, word) for word in store_index]  # drawn before the store exists
+    store = np.empty((1 + len(vectors), table.dim))
     store[0] = 0.0
-    for row, word in enumerate(store_index, start=1):
-        store[row] = lookup(table, word)
+    for row, vector in enumerate(vectors, start=1):
+        store[row] = vector
+    del vectors
+    for pair, pair_starts in zip(dataset, starts.tolist()):
+        a, b = pair.a.truncated(n_max), pair.b.truncated(n_max)
+        span_a, span_b = (slice(start, start + len(s)) for start, s in zip(pair_starts, (a, b)))
+        weights[span_a], weights[span_b] = matrix_attention(
+            a, store.take(ids[span_a], axis=0), b, store.take(ids[span_b], axis=0))
     return store, ids, weights, lengths
 
 
@@ -250,11 +262,12 @@ def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
     """Mini-batch SGD on binary cross-entropy; deterministic for a seed.
 
     Attention runs once per pair (it has no trainable parameters), and no
-    weighted or embedded matrix is kept: ``_row_store`` keeps each sentence's
-    store indices and attention weights, and builds the store from one
-    ``lookup`` per distinct word.  Each batch gathers its sentences' rows from
-    the store and scales them by their attention weights, the products
-    ``apply_attention`` computes, and passes them to ``loss_and_gradients``.
+    weighted or embedded matrix is kept: ``_row_store`` builds the store from
+    one ``lookup`` per distinct word, then runs the attention on the store's
+    rows, and keeps each sentence's store indices and attention weights.
+    Each batch gathers its sentences' rows from the store and scales them by
+    their attention weights, the products ``apply_attention`` computes, and
+    passes them to ``loss_and_gradients``.
     Returns the trained parameters and the mean training loss per epoch.
     """
     if dataset.label_kind != BINARY:

@@ -79,10 +79,13 @@ class Sentence:
         return list(self.words)
 
     def truncated(self, n: int) -> "Sentence":
-        """First ``n`` words as a new sentence (no-op if already shorter)."""
+        """First ``n`` words as a new sentence (no-op if already shorter);
+        default roles and tags stay the shared defaults of its length."""
         if len(self.words) <= n:
             return self
-        return Sentence(self.words[:n], self.roles[:n], self.pos[:n])
+        none = _NONES.get(len(self.words))
+        return Sentence(self.words[:n], None if self.roles is none else self.roles[:n],
+                        None if self.pos is none else self.pos[:n])
 
 
 @dataclass(frozen=True, slots=True)

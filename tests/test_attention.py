@@ -5,6 +5,7 @@ import pytest
 
 from simfuse.attention import (apply_attention, attention_weights,
                                cosine_matrix, edit_distance, marginal_sums,
+                               matrix_attention, pair_attention,
                                position_weights, weighted_pair_matrices)
 from simfuse.corpus import Sentence
 from simfuse.embedding import EmbeddingTable, embed_sentence
@@ -237,3 +238,32 @@ class TestWeightedPairMatrices:
         wa, wb = weighted_pair_matrices(long_a, b, table, n_max=4)
         assert wa.shape == (4, 4)
         assert wb.shape == (2, 4)
+
+
+class TestMatrixAttention:
+    @pytest.mark.parametrize("a, b", [
+        # OOV words (oov*), repeated words, and both sentences longer than n_max = 5
+        ("in0 oov0 in1 in0 oov0 oov1", "oov0 in1 in2 in1 oov2 in0 in3"),
+        ("in0 in0 in0", "in0 oov0 in0"),
+        ("oov3", "in2 oov3 in2 in1 in0 oov4 oov5 in3"),
+        ("in1 in2 in3 in0 oov0 in2 in2 in1 oov6", "in0"),
+    ])
+    def test_on_embedded_rows_equals_pair_attention_bitwise(self, a, b):
+        rng = np.random.default_rng(12)
+        table = EmbeddingTable(dim=7, vectors={f"in{i}": rng.standard_normal(7)
+                                               for i in range(4)})
+        a, b, n_max = Sentence(a.split()), Sentence(b.split()), 5
+        mat_a, row_weights, mat_b, col_weights = pair_attention(a, b, table, n_max)
+        short_a, short_b = a.truncated(n_max), b.truncated(n_max)
+        got = matrix_attention(short_a, embed_sentence(table, short_a, n_max),
+                               short_b, embed_sentence(table, short_b, n_max))
+        assert len(got) == 2
+        for g, want in zip(got, (row_weights, col_weights)):
+            assert (g.dtype, g.shape) == (want.dtype, want.shape)
+            assert g.tobytes() == want.tobytes()
+
+    def test_a_matrix_of_another_length_than_its_sentence_is_refused(self):
+        table = EmbeddingTable(dim=3, vectors={})
+        a, b = Sentence(["x", "y", "z"]), Sentence(["y", "x"])
+        with pytest.raises(DimensionError):
+            matrix_attention(a, embed_sentence(table, a, 2), b, embed_sentence(table, b, 2))

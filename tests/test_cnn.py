@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simfuse import embedding
-from simfuse.attention import pair_attention, weighted_pair_matrices
+from simfuse import attention, cnn, embedding
+from simfuse.attention import matrix_attention, pair_attention, weighted_pair_matrices
 from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _row_store, _windows,
                          cnn_forward, cnn_train, gradient_check, init_params,
                          load_cnn_params, loss_and_gradients,
@@ -549,6 +549,36 @@ class TestBatchAgainstGridOracle:
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
 
 
+def test_cnn_train_follows_the_grid_oracle_bitwise_at_the_benchmark_shapes():
+    # OpenBLAS picks its kernels by shape, so the small shapes above do not
+    # reach the ones training runs at: here dim 100, the default 32 filters
+    # and kernel width 3, 48 pairs of 8-24 words (some OOV, some past n_max
+    # 20) in batches of 16, as the benchmark trains
+    rng = np.random.default_rng(48)
+    vocab = [f"word{i}" for i in range(400)]
+    words = vocab + [f"oov{i}" for i in range(40)]
+    pairs = tuple(
+        LabeledPair(id=str(i), a=Sentence(rng.choice(words, rng.integers(8, 25)).tolist()),
+                    b=Sentence(rng.choice(words, rng.integers(8, 25)).tolist()),
+                    label=float(i % 2))
+        for i in range(48))
+    dataset, table = Dataset(pairs=pairs, label_kind=BINARY), toy_table(vocab, dim=100)
+    config = TrainConfig(learning_rate=0.2, epochs=2, batch_size=16, seed=3)
+    params, losses = cnn_train(dataset, table, config, n_max=20)
+
+    inputs = [weighted_pair_matrices(p.a, p.b, table, 20) for p in dataset]
+    labels = np.array([p.label for p in dataset])
+    want, want_losses = sgd(
+        init_params(table.dim, seed=config.seed),
+        lambda p, idx: grid_batch_oracle(p, [inputs[i] for i in idx], labels[idx]),
+        len(inputs), config, np.random.default_rng(config.seed))
+    assert params.filters.shape == (32, 3, 100)
+    assert losses == want_losses
+    for name in ("filters", "filter_bias", "dense_w", "dense_b", "out_w", "out_b"):
+        got, expected = np.asarray(getattr(params, name)), np.asarray(getattr(want, name))
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), name
+
+
 def oracle_init_params(dim, n_filters, kernel_width, hidden, seed):
     """init_params with its own fan-in closure, drawing field by field: the
     reference the shared head's initialization must match bit for bit."""
@@ -780,6 +810,32 @@ def test_row_store_matches_the_copied_rows_and_per_token_lists(monkeypatch, kern
     assert len(got[0]) == 1 + len(distinct)
     assert len(distinct - set(vocab)) > 3  # more OOV words than the small cache holds
     assert got[3].min() >= kernel_width
+
+
+def test_row_store_looks_each_distinct_word_up_once_and_embeds_no_sentence(monkeypatch):
+    # through the names cnn looks up, and the one pair_attention embeds with
+    calls, attended = [], []
+
+    def counting_lookup(table, word):
+        calls.append(word)
+        return embedding.lookup(table, word)
+
+    def counting_attention(a, mat_a, b, mat_b):
+        attended.append((a.words, b.words))
+        return matrix_attention(a, mat_a, b, mat_b)
+
+    def refuse(*args):
+        raise AssertionError("embed_sentence called")
+
+    monkeypatch.setattr(cnn, "lookup", counting_lookup)
+    monkeypatch.setattr(cnn, "matrix_attention", counting_attention)
+    monkeypatch.setattr(attention, "embed_sentence", refuse)
+    dataset, vocab = _row_store_set(), [f"in{i}" for i in range(13)]
+    store, ids, weights, lengths = _row_store(dataset, toy_table(vocab, dim=7), 6, 3)
+    distinct = {word for pair in dataset for s in (pair.a, pair.b) for word in s.words[:6]}
+    assert sorted(calls) == sorted(distinct)
+    assert attended == [(pair.a.words[:6], pair.b.words[:6]) for pair in dataset]
+    assert len(store) == 1 + len(distinct)
 
 
 def test_row_store_allocates_little_beyond_what_it_returns():

@@ -252,6 +252,19 @@ class TestRecordLayout:
         assert first.roles is first.pos is second.roles is second.pos == (None, None)
         assert Sentence(("five",)).roles == (None,)
 
+    def test_truncating_keeps_default_annotations_shared(self):
+        default = Sentence(tuple("abcdef"))
+        assert default.truncated(4).roles is default.truncated(4).pos is corpus._NONES[4]
+        annotated = Sentence(tuple("abc"), roles=(None, None, "OBJ"), pos=(None, None, "N"))
+        short = annotated.truncated(2)
+        assert (short.roles, short.pos) == ((None, None), (None, None))
+        assert short.roles is not corpus._NONES[2] and short.pos is not corpus._NONES[2]
+        mixed = Sentence(tuple("abc"), roles=("SUBJ", "PRED", "OBJ")).truncated(2)
+        assert (mixed.roles, mixed.pos) == (("SUBJ", "PRED"), (None, None))
+        assert mixed.pos is corpus._NONES[2]
+        long = Sentence(("w",) * 70).truncated(8)
+        assert long.roles == long.pos == (None,) * 8
+
     def test_only_short_default_annotations_are_shared(self):
         shared = dict(corpus._NONES)
         long = Sentence(("w",) * 65)

@@ -14,7 +14,11 @@ split.  The fourth is the ``tests/test_cli.py`` example: its four pairs and
 its 12-word dim-4 table drawn from seed 101, trained with ``epochs = 5`` and
 ``seed = 7`` and scored on the same four pairs.  Each run is
 ``python -m simfuse.cli`` with ``PYTHONPATH=SRC_DIR`` in a temporary
-directory.  Each case's test split is also scored with a v1 copy of the
+directory, with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1, as the benchmark sets
+them): OpenBLAS splits the CNN's training matmuls over threads at the
+benchmark's batch shapes, which changes ``train``'s bits with the thread
+count.  Each case's test split is also scored with a v1 copy of the
 trained bundle: its ``cnn.params``, ``fusion.params`` and ``stats.tsv`` plus
 the case's input embeddings as ``embeddings.txt``, with no manifest, so that
 the v1 read path is compared too.  It prints one ``sha256  case/file`` line for every bundle file, the
@@ -37,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEED = 1
 MODES = ("weighted_sum", "learned")
 # the tests/test_cli.py example
@@ -88,7 +93,8 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(PERFBENCH))
     import workloads
 
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
+           **{var: "1" for var in BLAS_VARS}}
     bench_config = (f"learning_rate = {workloads.LEARNING_RATE}\nepochs = {workloads.EPOCHS}\n"
                     f"batch_size = {workloads.BATCH_SIZE}\nseed = {workloads.TRAIN_SEED}\n"
                     f"n_max = {workloads.N_MAX}\n")
