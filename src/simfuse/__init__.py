@@ -10,7 +10,7 @@ a validation split (ROADMAP aim 3).
 
 from .attention import (apply_attention, attention_weights, cosine_matrix,
                         edit_distance, marginal_sums, matrix_attention,
-                        pair_attention, position_weights, weighted_pair_matrices)
+                        position_weights, weighted_pair_matrices)
 from .cnn import (CnnParams, cnn_forward, cnn_train,
                   gradient_check, init_params, load_cnn_params, save_cnn_params)
 from .corpus import (BINARY, GRADED, ONE_IS_SIMILAR, ROLES, ZERO_IS_SIMILAR,

@@ -116,12 +116,10 @@ def matrix_attention(a: Sentence, mat_a: np.ndarray, b: Sentence,
     return attention_weights(row_vec, pos_row, col_vec, pos_col)
 
 
-def pair_attention(a: Sentence, b: Sentence, table: EmbeddingTable,
-                   n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Attention for one pair, before it is applied: embed both sentences
-    and weight their rows by ``matrix_attention``.  Returns
-    ``(mat_a, row_weights, mat_b, col_weights)``, each matrix with one weight
-    per row.
+def weighted_pair_matrices(a: Sentence, b: Sentence, table: EmbeddingTable,
+                           n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full attention pipeline for one pair: both sentences embedded, their
+    rows weighted by ``matrix_attention`` and scaled by ``apply_attention``.
 
     Sentences are truncated to ``n_max`` tokens up front so the similarity
     grid, position vectors and matrices all agree on token counts.
@@ -132,12 +130,4 @@ def pair_attention(a: Sentence, b: Sentence, table: EmbeddingTable,
     mat_a = embed_sentence(table, a, n_max)
     mat_b = embed_sentence(table, b, n_max)
     row_weights, col_weights = matrix_attention(a, mat_a, b, mat_b)
-    return mat_a, row_weights, mat_b, col_weights
-
-
-def weighted_pair_matrices(a: Sentence, b: Sentence, table: EmbeddingTable,
-                           n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full attention pipeline for one pair: ``pair_attention``'s weights
-    applied to its matrices."""
-    mat_a, row_weights, mat_b, col_weights = pair_attention(a, b, table, n_max)
     return apply_attention(mat_a, row_weights), apply_attention(mat_b, col_weights)

@@ -5,8 +5,8 @@ import pytest
 
 from simfuse.attention import (apply_attention, attention_weights,
                                cosine_matrix, edit_distance, marginal_sums,
-                               matrix_attention, pair_attention,
-                               position_weights, weighted_pair_matrices)
+                               matrix_attention, position_weights,
+                               weighted_pair_matrices)
 from simfuse.corpus import Sentence
 from simfuse.embedding import EmbeddingTable, embed_sentence
 from simfuse.errors import DimensionError
@@ -248,17 +248,18 @@ class TestMatrixAttention:
         ("oov3", "in2 oov3 in2 in1 in0 oov4 oov5 in3"),
         ("in1 in2 in3 in0 oov0 in2 in2 in1 oov6", "in0"),
     ])
-    def test_on_embedded_rows_equals_pair_attention_bitwise(self, a, b):
+    def test_weights_the_rows_weighted_pair_matrices_embeds_bitwise(self, a, b):
         rng = np.random.default_rng(12)
         table = EmbeddingTable(dim=7, vectors={f"in{i}": rng.standard_normal(7)
                                                for i in range(4)})
         a, b, n_max = Sentence(a.split()), Sentence(b.split()), 5
-        mat_a, row_weights, mat_b, col_weights = pair_attention(a, b, table, n_max)
+        got = weighted_pair_matrices(a, b, table, n_max)
         short_a, short_b = a.truncated(n_max), b.truncated(n_max)
-        got = matrix_attention(short_a, embed_sentence(table, short_a, n_max),
-                               short_b, embed_sentence(table, short_b, n_max))
+        mat_a, mat_b = embed_sentence(table, short_a, n_max), embed_sentence(table, short_b, n_max)
+        row_weights, col_weights = matrix_attention(short_a, mat_a, short_b, mat_b)
         assert len(got) == 2
-        for g, want in zip(got, (row_weights, col_weights)):
+        for g, want in zip(got, (apply_attention(mat_a, row_weights),
+                                 apply_attention(mat_b, col_weights))):
             assert (g.dtype, g.shape) == (want.dtype, want.shape)
             assert g.tobytes() == want.tobytes()
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from simfuse import attention, cnn, embedding
-from simfuse.attention import matrix_attention, pair_attention, weighted_pair_matrices
+from simfuse.attention import matrix_attention, weighted_pair_matrices
 from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _row_store, _windows,
                          cnn_forward, cnn_train, gradient_check, init_params,
                          load_cnn_params, loss_and_gradients,
@@ -756,15 +756,18 @@ def test_cnn_train_keeps_no_weighted_matrix_per_sentence():
 
 
 def _row_store_oracle(dataset, table, n_max, k):
-    """``_row_store`` as the rows ``pair_attention`` embedded: a copied
-    matrix row per distinct word, and per-token lists of indices and weights."""
+    """``_row_store`` as the rows ``embed_sentence`` embeds, weighted by
+    ``matrix_attention``: a copied matrix row per distinct word, and per-token
+    lists of indices and weights."""
     store_index, store_rows = {}, [np.zeros(table.dim)]
     ids, weights, lengths = [], [], []
     for pair in dataset:
-        mat_a, weights_a, mat_b, weights_b = pair_attention(pair.a, pair.b, table, n_max)
-        for words, mat, mat_weights in ((pair.a.words, mat_a, weights_a),
-                                        (pair.b.words, mat_b, weights_b)):
-            for i, word in enumerate(words[: len(mat)]):
+        a, b = pair.a.truncated(n_max), pair.b.truncated(n_max)
+        mat_a, mat_b = embed_sentence(table, a, n_max), embed_sentence(table, b, n_max)
+        weights_a, weights_b = matrix_attention(a, mat_a, b, mat_b)
+        for words, mat, mat_weights in ((a.words, mat_a, weights_a),
+                                        (b.words, mat_b, weights_b)):
+            for i, word in enumerate(words):
                 if word not in store_index:
                     store_index[word] = len(store_rows)
                     store_rows.append(mat[i].copy())
@@ -813,7 +816,7 @@ def test_row_store_matches_the_copied_rows_and_per_token_lists(monkeypatch, kern
 
 
 def test_row_store_looks_each_distinct_word_up_once_and_embeds_no_sentence(monkeypatch):
-    # through the names cnn looks up, and the one pair_attention embeds with
+    # through the names cnn looks up, and the one weighted_pair_matrices embeds with
     calls, attended = [], []
 
     def counting_lookup(table, word):
@@ -838,9 +841,12 @@ def test_row_store_looks_each_distinct_word_up_once_and_embeds_no_sentence(monke
     assert len(store) == 1 + len(distinct)
 
 
-def test_row_store_allocates_little_beyond_what_it_returns():
-    # 2,500 distinct in-vocabulary words in 600 pairs of 4-16 tokens at dim 64:
-    # a copied row per word, then stacked, peaks at over twice the returned bytes
+@pytest.mark.parametrize("in_vocabulary", [True, False], ids=["in-vocabulary", "oov"])
+def test_row_store_allocates_little_beyond_what_it_returns(monkeypatch, in_vocabulary):
+    # 2,500 distinct words in 600 pairs of 4-16 tokens at dim 64: a copied row
+    # per word, then stacked, peaks at over twice the returned bytes, and so
+    # does a list that keeps every OOV vector drawn while the cache forgets them
+    monkeypatch.setattr(embedding, "OOV_CACHE_ROWS", 256)
     vocab = [f"word{i}" for i in range(2_500)]
     rng = np.random.default_rng(31)
     order = rng.permutation(vocab).tolist()
@@ -850,7 +856,8 @@ def test_row_store_allocates_little_beyond_what_it_returns():
         other = rng.choice(vocab, rng.integers(4, 17)).tolist()
         pairs.append(LabeledPair(id=str(i), a=Sentence(words), b=Sentence(other),
                                  label=float(i % 2)))
-    dataset, table = Dataset(pairs=tuple(pairs), label_kind=BINARY), toy_table(vocab, dim=64)
+    dataset = Dataset(pairs=tuple(pairs), label_kind=BINARY)
+    table = toy_table(vocab if in_vocabulary else [], dim=64)
     tracemalloc.start()
     try:
         returned = _row_store(dataset, table, DEFAULT_N_MAX, 3)

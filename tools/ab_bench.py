@@ -12,11 +12,10 @@ first in each pair.  Each run's result line goes to stderr as it arrives.  Then
 it prints, for every metric of the runs, one tab-separated row: the metric,
 its unit, the direction the change's ``BENCHMARK.json`` declares better, each
 side's median and quartiles, the change of the median in percent, the pairs
-the change won (ties count for neither side), and ``gain`` when the change won
-at least nine tenths of the pairs and the medians differ by more than the
-parent's interquartile range.  A final row counts each side's failed runs and
-failed operations.  The script writes no file; the runs clean up after
-themselves.
+the change won (ties count for neither side), and a verdict (see ``verdict``):
+``gain``, ``worse`` or ``unresolved`` against the metric's ``bound`` in that
+file, or ``-``.  A final row counts each side's failed runs and failed
+operations.  The script writes no file; the runs clean up after themselves.
 """
 
 from __future__ import annotations
@@ -45,11 +44,11 @@ def _run(root: Path, args: argparse.Namespace) -> dict | None:
     return json.loads(lines[-1])
 
 
-def _directions(root: Path) -> dict[str, str]:
-    """{metric: "lower" or "higher"} as the checkout's BENCHMARK.json declares."""
+def _declared(root: Path) -> dict[str, dict]:
+    """{metric: its entry} as the checkout's BENCHMARK.json declares: each has
+    ``better`` ("lower" or "higher"), and the end-to-end ones a ``bound``."""
     declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    return {metric["name"]: metric["better"]
-            for metric in declared["end_to_end"] + declared["per_layer"]}
+    return {metric["name"]: metric for metric in declared["end_to_end"] + declared["per_layer"]}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -59,16 +58,43 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def _row(name: str, unit: str, better: str, pairs: list[tuple[float, float]]) -> str:
+def verdict(better: str, bound: float | None, pairs: list[tuple[float, float]]) -> str:
+    """The verdict on one metric's (parent, change) value pairs.
+
+    ``gain``: the change won at least nine tenths of the pairs and the medians
+    differ by more than the parent's interquartile range.  ``worse``: the
+    change's median is worse than the parent's by more than ``bound``, a
+    fraction of the parent's median.  ``unresolved``: the parent's
+    interquartile range is wider than that bound, and not every change run
+    beats every parent run.  ``-`` otherwise; without a bound, only ``gain``
+    can be given.
+    """
+    parent, change = [value for value, _ in pairs], [value for _, value in pairs]
+    (p1, pm, p3), (_, cm, _) = _quartiles(parent), _quartiles(change)
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in pairs)
+    if wins >= WIN_SHARE * len(pairs) and sign * (cm - pm) > p3 - p1:
+        return "gain"
+    if bound is None:
+        return "-"
+    if sign * (cm - pm) < -bound * abs(pm):
+        return "worse"
+    if p3 - p1 > bound * abs(pm) and not all(sign * (c - p) > 0 for c in change
+                                              for p in parent):
+        return "unresolved"
+    return "-"
+
+
+def _row(name: str, unit: str, declared: dict, pairs: list[tuple[float, float]]) -> str:
+    better = declared["better"]
     parent, change = [value for value, _ in pairs], [value for _, value in pairs]
     (p1, pm, p3), (c1, cm, c3) = _quartiles(parent), _quartiles(change)
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in pairs)
-    gain = wins >= WIN_SHARE * len(pairs) and sign * (cm - pm) > p3 - p1
     delta = f"{100 * (cm - pm) / pm:+.1f}%" if pm else "n/a"
     return (f"{name}\t{unit}\t{better}\t{pm:.6g} [{p1:.6g}, {p3:.6g}]\t"
             f"{cm:.6g} [{c1:.6g}, {c3:.6g}]\t{delta}\t{wins}/{len(pairs)}\t"
-            f"{'gain' if gain else '-'}")
+            f"{verdict(better, declared.get('bound'), pairs)}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -87,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     for side, root in roots.items():
         if not (root / "perfbench" / "run.py").is_file():
             parser.error(f"{side} {root} has no perfbench/run.py")
-    better = _directions(roots["change"])
+    declared = _declared(roots["change"])
 
     results: list[dict[str, dict | None]] = []
     for i in range(args.pairs):
@@ -105,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, entry in complete[0]["parent"]["metrics"].items():
             pairs = [(pair["parent"]["metrics"][name]["value"],
                       pair["change"]["metrics"][name]["value"]) for pair in complete]
-            print(_row(name, entry["unit"], better[name], pairs))
+            print(_row(name, entry["unit"], declared[name], pairs))
     for side in SIDES:
         runs = [pair[side] for pair in results]
         failed_runs = sum(run is None or not run["correct"] for run in runs)
