@@ -34,7 +34,6 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from . import embedding
 # weighted_pair_matrices is not called here: the name stays bound because
 # perfbench/tests/test_perfbench.py looks it up on this module
 from .attention import matrix_attention, weighted_pair_matrices  # noqa: F401
@@ -227,12 +226,9 @@ def _row_store(dataset: Dataset, table: EmbeddingTable, n_max: int, k: int) -> t
 
     ``ids`` and ``weights`` are allocated once, zero-filled.  A first walk
     writes every sentence's store indices; each distinct word is then looked
-    up once, and the listed vectors are written into the store at the end and
-    whenever ``embedding.OOV_CACHE_ROWS`` of them are OOV: no list keeps alive
-    the ones the cache forgets, and the store, allocated at the first write,
-    lies above the first ones the table caches on the heap.  A second walk runs
-    ``matrix_attention`` on each pair's rows taken from the store, the bytes
-    ``embed_sentence`` would copy, and writes the weights.
+    up once, into its store row.  A second walk runs ``matrix_attention`` on
+    each pair's rows taken from the store, the bytes ``embed_sentence`` would
+    copy, and writes the weights.
     """
     check_n_max(n_max)
     lengths = np.array([max(min(len(sentence), n_max), k) for pair in dataset
@@ -246,18 +242,9 @@ def _row_store(dataset: Dataset, table: EmbeddingTable, n_max: int, k: int) -> t
             words = sentence.words[:n_max]
             ids[start : start + len(words)] = [
                 store_index.setdefault(word, len(store_index) + 1) for word in words]
-    store, listed, n_oov = None, [], 0
+    store = np.zeros((1 + len(store_index), table.dim))
     for row, word in enumerate(store_index, start=1):
-        listed.append(lookup(table, word))
-        n_oov += word not in table.vectors
-        if n_oov == embedding.OOV_CACHE_ROWS or row == len(store_index):
-            if store is None:
-                store = np.zeros((1 + len(store_index), table.dim))
-            for at, vector in enumerate(listed, start=row + 1 - len(listed)):
-                store[at] = vector
-            listed, n_oov = [], 0
-    if store is None:  # no training pair
-        store = np.zeros((1, table.dim))
+        store[row] = lookup(table, word)
     for pair, pair_starts in zip(dataset, starts.tolist()):
         a, b = pair.a.truncated(n_max), pair.b.truncated(n_max)
         span_a, span_b = (slice(start, start + len(s)) for start, s in zip(pair_starts, (a, b)))

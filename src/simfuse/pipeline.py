@@ -287,10 +287,6 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
         (staging / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8",
                                         newline="\n")
         for name in (*HASHED_FILES, MANIFEST):
-            # unlinked first: on ext4, renaming a 16 MB file over another took
-            # about twice as long as unlinking the old one and renaming to the
-            # free name
-            (directory / name).unlink(missing_ok=True)
             os.replace(staging / name, directory / name)
     except BaseException:
         shutil.rmtree(staging)

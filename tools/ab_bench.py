@@ -8,14 +8,17 @@ Usage::
 ``PARENT`` and ``CHANGE`` are the roots of two source checkouts.  The script
 runs ``perfbench/run.py --workload W --seed S --seconds T --trace X`` of each
 checkout, from that checkout's root, ``N`` times, alternating which side runs
-first in each pair.  Each run's result line goes to stderr as it arrives.  Then
-it prints, for every metric of the runs, one tab-separated row: the metric,
-its unit, the direction the change's ``BENCHMARK.json`` declares better, each
-side's median and quartiles, the change of the median in percent, the pairs
-the change won (ties count for neither side), and a verdict (see ``verdict``):
-``gain``, ``worse`` or ``unresolved`` against the metric's ``bound`` in that
-file, or ``-``.  A final row counts each side's failed runs and failed
-operations.  The script writes no file; the runs clean up after themselves.
+first in each pair.  Each run's result line goes to stderr as it arrives,
+followed, for a run that failed or is not correct, by the last lines of its
+own stderr.  Then it prints, for every metric of the runs, one tab-separated
+row: the metric, its unit, the direction the change's ``BENCHMARK.json``
+declares better, each side's median and quartiles, the change of the median
+in percent, the pairs the change won (ties count for neither side), and a
+verdict (see ``verdict``): ``gain``, ``worse`` or ``unresolved`` against the
+metric's ``bound`` in that file, or ``-``.  The rows leave out every pair
+with a side that failed or is not correct.  Final ``#`` rows count each
+side's failed runs and failed operations, and the pairs left out; the exit
+status is 1 when a pair was left out.  The script writes no file; the runs clean up after themselves.
 """
 
 from __future__ import annotations
@@ -29,19 +32,22 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 WIN_SHARE = 0.9
+STDERR_TAIL = 20
 
 
-def _run(root: Path, args: argparse.Namespace) -> dict | None:
+def _run(root: Path, args: argparse.Namespace) -> tuple[dict | None, list[str]]:
     """The result object of one benchmark run of the checkout at ``root``,
-    or None when the run exits non-zero or prints no result."""
+    or None when the run exits non-zero or prints no result, and the last
+    ``STDERR_TAIL`` lines of the run's stderr."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed",
          str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)],
-        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     lines = done.stdout.strip().splitlines()
+    tail = done.stderr.splitlines()[-STDERR_TAIL:]
     if done.returncode != 0 or not lines:
-        return None
-    return json.loads(lines[-1])
+        return None, tail
+    return json.loads(lines[-1]), tail
 
 
 def _declared(root: Path) -> dict[str, dict]:
@@ -120,11 +126,16 @@ def main(argv: list[str] | None = None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {}
         for side in order:
-            pair[side] = _run(roots[side], args)
-            print(f"pair {i + 1} {side}\t{json.dumps(pair[side])}", file=sys.stderr, flush=True)
+            pair[side], tail = _run(roots[side], args)
+            print(f"pair {i + 1} {side}\t{json.dumps(pair[side])}", file=sys.stderr)
+            if pair[side] is None or not pair[side]["correct"]:
+                for line in tail:
+                    print(f"    {line}", file=sys.stderr)
+            sys.stderr.flush()
         results.append(pair)
 
-    complete = [pair for pair in results if None not in pair.values()]
+    complete = [pair for pair in results
+                if all(run is not None and run["correct"] for run in pair.values())]
     print("metric\tunit\tbetter\tparent median [q1, q3]\tchange median [q1, q3]\t"
           "change\twins\tverdict")
     if complete:
@@ -139,6 +150,8 @@ def main(argv: list[str] | None = None) -> int:
         attempted = sum(run["attempted"] for run in runs if run is not None)
         print(f"# {side}: {failed_runs} of {len(runs)} runs failed or not correct; "
               f"{failed_ops} of {attempted} operations failed")
+    print(f"# {len(results) - len(complete)} of {len(results)} pairs left out of the rows: "
+          "a side failed or was not correct")
     return 0 if len(complete) == len(results) else 1
 
 
