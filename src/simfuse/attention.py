@@ -46,12 +46,6 @@ def marginal_sums(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def edit_distance(u: str, v: str) -> int:
     """Character-level Levenshtein distance (unit-cost edits)."""
-    if u == v:
-        return 0
-    if not u:
-        return len(v)
-    if not v:
-        return len(u)
     previous = list(range(len(v) + 1))
     for i, cu in enumerate(u, start=1):
         current = [i]

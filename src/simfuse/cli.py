@@ -81,15 +81,14 @@ def parse_config_file(path: str) -> CliConfig:
 
 
 def _resolve_config(args: argparse.Namespace) -> CliConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return parse_config_file(args.config)
     return CliConfig()
 
 
 def _resolve_embeddings(args: argparse.Namespace, config: CliConfig) -> str:
     # Precedence: flag, then config file, then environment variable.
-    path = getattr(args, "embeddings", None) or config.embedding_path \
-        or os.environ.get(EMBEDDINGS_ENV_VAR)
+    path = args.embeddings or config.embedding_path or os.environ.get(EMBEDDINGS_ENV_VAR)
     if not path:
         raise ConfigError(
             "no embeddings given (use --embeddings, embedding_path in the "

@@ -14,14 +14,8 @@ Scoring runs one pair at a time: ``cnn_forward`` convolves each sentence's
 windows with one matmul and max-pools before the ReLU, which picks the
 same value as pooling after it, and keeps no intermediate values; the
 numeric gradients run the same forward pass.  Training runs one mini-batch
-at a time.  ``cnn_train`` keeps no weighted or embedded matrix: it keeps,
-per sentence, its rows' store indices and attention weights, and one row
-store (a zero row for padding, then one row per distinct truncated word of
-the training pairs, from one ``lookup`` per word).  The store is built
-first, and every training pair's attention runs once, on rows taken from
-it.  A batch gathers its rows from the store and scales each by its weight,
-the products ``apply_attention`` computes, into one stacked token-row
-matrix; ``loss_and_gradients`` convolves all its windows at once into one
+at a time, on the row store that ``_row_store`` builds and describes;
+``loss_and_gradients`` convolves all of a batch's windows at once into one
 buffer and max-pools each sentence over its own windows, in one gather and
 one argmax.
 """
@@ -111,19 +105,14 @@ def init_params(dim: int, n_filters: int = DEFAULT_FILTERS,
 
 def _windows(rows: np.ndarray, k: int) -> np.ndarray:
     """Stacked convolution windows over an (L, d) matrix, shape (P, k*d):
-    window p is ``rows[p : p + k]`` flattened.
-
-    A sentence shorter than the kernel gets a single window zero-padded to
-    width k; otherwise windows cover positions 0..L-k.
+    window p is ``rows[p : p + k]`` flattened, for p in 0..L-k, after a
+    sentence shorter than the kernel is padded with zero rows to width k.
     """
-    length, dim = rows.shape
-    if length < k:
-        padded = np.zeros((k, dim))
-        padded[:length] = rows
-        return padded.reshape(1, k * dim)
+    if len(rows) < k:
+        rows = np.concatenate([rows, np.zeros((k - len(rows), rows.shape[1]))])
     # k shifted slices side by side; a few numpy calls per sentence where
     # sliding_window_view costs more than the convolution itself
-    p = length - k + 1
+    p = len(rows) - k + 1
     return np.concatenate([rows[i : i + p] for i in range(k)], axis=1)
 
 
@@ -216,19 +205,23 @@ def loss_and_gradients(params: CnnParams, rows: np.ndarray, lengths: np.ndarray,
 
 
 def _row_store(dataset: Dataset, table: EmbeddingTable, n_max: int, k: int) -> tuple:
-    """The training pairs' rows as ``(store, ids, weights, lengths)``.
+    """The training pairs' rows as ``(store, ids, weights, lengths)``; training
+    keeps these and no weighted or embedded matrix.
 
     ``store`` holds a zero row, then each distinct truncated word's embedded
-    row once.  ``ids`` and ``weights`` hold every sentence's store indices
-    and attention weights, sentence after sentence (a's and b's
-    alternating), each sentence padded to ``k`` with index 0 and weight 0;
-    ``lengths`` holds each sentence's padded length.
+    row once, from one ``lookup`` per word.  ``ids`` and ``weights`` hold
+    every sentence's store indices and attention weights, sentence after
+    sentence (a's and b's alternating), each sentence padded to ``k`` with
+    index 0 and weight 0; ``lengths`` holds each sentence's padded length.
+    A batch gathers its sentences' rows from the store and scales each by its
+    weight, the products ``apply_attention`` computes.
 
     ``ids`` and ``weights`` are allocated once, zero-filled.  A first walk
     writes every sentence's store indices; each distinct word is then looked
-    up once, into its store row.  A second walk runs ``matrix_attention`` on
-    each pair's rows taken from the store, the bytes ``embed_sentence`` would
-    copy, and writes the weights.
+    up once, into its store row.  A second walk runs ``matrix_attention``
+    once per pair (it has no trainable parameters) on the pair's rows taken
+    from the store, the bytes ``embed_sentence`` would copy, and writes the
+    weights.
     """
     check_n_max(n_max)
     lengths = np.array([max(min(len(sentence), n_max), k) for pair in dataset
@@ -257,13 +250,8 @@ def cnn_train(dataset: Dataset, table: EmbeddingTable, config: TrainConfig,
               n_max: int = DEFAULT_N_MAX) -> tuple[CnnParams, list[float]]:
     """Mini-batch SGD on binary cross-entropy; deterministic for a seed.
 
-    Attention runs once per pair (it has no trainable parameters), and no
-    weighted or embedded matrix is kept: ``_row_store`` builds the store from
-    one ``lookup`` per distinct word, then runs the attention on the store's
-    rows, and keeps each sentence's store indices and attention weights.
-    Each batch gathers its sentences' rows from the store and scales them by
-    their attention weights, the products ``apply_attention`` computes, and
-    passes them to ``loss_and_gradients``.
+    Each batch is gathered from the row store, as ``_row_store`` describes,
+    and passed to ``loss_and_gradients``.
     Returns the trained parameters and the mean training loss per epoch.
     """
     if dataset.label_kind != BINARY:

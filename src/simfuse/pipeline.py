@@ -163,6 +163,11 @@ def train_bundle(dataset: Dataset, table: EmbeddingTable, config: TrainConfig, *
 
 
 def save_stats(stats: tfidf.CorpusStats, stream: IO[str]) -> None:
+    """A term holding a tab or line break, where load_stats splits, is a
+    FormatError before anything is written."""
+    if re.search("[\t\n\r]", "".join(stats.pair_doc_freq)):
+        bad = min(t for t in stats.pair_doc_freq if re.search("[\t\n\r]", t))
+        raise FormatError(f"term {bad!r} holds a tab or line break")
     stream.write(f"#total_pairs={stats.total_pairs}\n")
     for term in sorted(stats.pair_doc_freq):
         stream.write(f"{term}\t{stats.pair_doc_freq[term]}\n")
@@ -265,9 +270,6 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     if vocab.splitlines() != surfaces:
         bad = next(s for s in surfaces if f"{s}\n".splitlines() != [s])
         raise FormatError(f"{VOCAB}: surface {bad!r} holds a line break")
-    if re.search("[\t\n\r]", "".join(bundle.stats.pair_doc_freq)):  # load_stats splits there
-        bad = min(t for t in bundle.stats.pair_doc_freq if re.search("[\t\n\r]", t))
-        raise FormatError(f"stats.tsv: term {bad!r} holds a tab or line break")
     directory = Path(directory).resolve()  # so created lists what mkdir makes, ".." or not
     created = [path for path in (directory, *directory.parents) if not path.exists()]
     directory.mkdir(parents=True, exist_ok=True)
@@ -277,7 +279,8 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
             cnn.save_cnn_params(bundle.cnn_params, f)
         with open(staging / "fusion.params", "w", encoding="utf-8", newline="\n") as f:
             fusion.save_fusion_params(bundle.weights, bundle.fusion_params, f)
-        with open(staging / "stats.tsv", "w", encoding="utf-8", newline="\n") as f:
+        with _naming("stats.tsv", (FormatError,)), \
+                open(staging / "stats.tsv", "w", encoding="utf-8", newline="\n") as f:
             save_stats(bundle.stats, f)
         (staging / VOCAB).write_text(vocab, encoding="utf-8", newline="\n")
         with _naming(MATRIX, (FormatError,)), open(staging / MATRIX, "wb") as f:
@@ -329,17 +332,17 @@ def _read_manifest(stream: IO[str]) -> tuple[int, dict[str, str]]:
     return n_max, digests
 
 
-def _read(directory: Path, name: str, parse, digests: dict[str, str] | None = None,
-          binary: bool = False):
-    """``parse`` of bundle file ``name``, opened once and passed as binary or
-    UTF-8 text; its errors name the file.  With ``digests`` (v2), the bytes are
-    hashed as they are parsed, and a value is returned only if the sha256
-    matches.  A parse error is raised only after the rest of this file, and
-    then each later HASHED_FILES entry, is hashed and found to match.
+def _read(directory: Path, name: str, parse, digests: dict[str, str] | None = None):
+    """``parse`` of bundle file ``name``, opened once and passed as binary
+    (embeddings.npy) or UTF-8 text; its errors name the file.  With
+    ``digests`` (v2), the bytes are hashed as they are parsed, and a value is
+    returned only if the sha256 matches.  A parse error is raised only after
+    the rest of this file, and then each later HASHED_FILES entry, is hashed
+    and found to match.
     """
     with _naming(name), open(directory / name, "rb") as file:
         raw = _Sha256Reader(file) if digests else file
-        stream = raw if binary else io.TextIOWrapper(raw, encoding="utf-8")
+        stream = raw if name == MATRIX else io.TextIOWrapper(raw, encoding="utf-8")
         try:
             value, error = parse(stream), None
         except _FILE_ERRORS as exc:
@@ -349,7 +352,7 @@ def _read(directory: Path, name: str, parse, digests: dict[str, str] | None = No
     if error is None:
         return value
     for later in HASHED_FILES[HASHED_FILES.index(name) + 1:] if digests else ():
-        _read(directory, later, lambda stream: None, digests, binary=True)
+        _read(directory, later, lambda stream: None, digests)
     with _naming(name):
         raise error
 
@@ -390,8 +393,7 @@ def load_bundle(directory: str | Path, n_max: int | None = None) -> ModelBundle:
     stats = _read(directory, "stats.tsv", load_stats, digests)
     if digests:
         vocab = _read(directory, VOCAB, load_vocab, digests)
-        table = _read(directory, MATRIX, lambda stream: load_npy_table(stream, vocab), digests,
-                      binary=True)
+        table = _read(directory, MATRIX, lambda stream: load_npy_table(stream, vocab), digests)
     # the one check ModelBundle makes: the CNN's dimension against the table's
     with _naming("cnn.params"):
         return ModelBundle(stats=stats, table=table, cnn_params=cnn_params, weights=weights,

@@ -261,6 +261,17 @@ class TestEmbeddingsRoundTrip:
             save_bundle(bundle, tmp_path / "model")
         assert not (tmp_path / "model").exists()
 
+    # the writer itself refuses, so that no direct call writes a file that
+    # load_stats then refuses
+    @pytest.mark.parametrize("term", ["a\tb", "a\nb", "a\r"])
+    def test_save_stats_refuses_a_term_with_a_tab_or_line_break_writing_nothing(self, term):
+        stream = io.StringIO()
+        message = f"term {term!r} holds a tab or line break"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            pipeline.save_stats(CorpusStats(total_pairs=3, pair_doc_freq={"x": 1, term: 2}),
+                                stream)
+        assert stream.getvalue() == ""
+
     # the rows are written BLOCK_ROWS at a time, each block checked before it is
     # written, into a temporary directory that a refused save removes: it
     # leaves no file, and so no bundle that loads

@@ -18,7 +18,13 @@ verdict (see ``verdict``): ``gain``, ``worse`` or ``unresolved`` against the
 metric's ``bound`` in that file, or ``-``.  The rows leave out every pair
 with a side that failed or is not correct.  Final ``#`` rows count each
 side's failed runs and failed operations, and the pairs left out; the exit
-status is 1 when a pair was left out.  The script writes no file; the runs clean up after themselves.
+status is 1 when a pair was left out.  The script writes no file; the runs
+clean up after themselves.
+
+Passing the same checkout as both ``PARENT`` and ``CHANGE`` is an A/A control:
+both sides run the same code, so its rows measure the host's own spread, the
+median changes and pair wins that drift alone gives.  Read an A/B run against
+an A/A run of the same workload, seed and settings.
 """
 
 from __future__ import annotations
