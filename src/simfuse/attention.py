@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import Sentence
-from .embedding import EmbeddingTable, check_n_max, embed_sentence
+from .embedding import EmbeddingTable, embed_sentence
 from .errors import DimensionError
 from .nn import softmax
 
@@ -115,13 +115,11 @@ def weighted_pair_matrices(a: Sentence, b: Sentence, table: EmbeddingTable,
     """Full attention pipeline for one pair: both sentences embedded, their
     rows weighted by ``matrix_attention`` and scaled by ``apply_attention``.
 
-    Sentences are truncated to ``n_max`` tokens up front so the similarity
-    grid, position vectors and matrices all agree on token counts.
+    ``embed_sentence`` checks ``n_max`` and embeds each sentence's first
+    ``n_max`` words, the same words the attention step is given.
     """
-    check_n_max(n_max)
-    a = a.truncated(n_max)
-    b = b.truncated(n_max)
     mat_a = embed_sentence(table, a, n_max)
     mat_b = embed_sentence(table, b, n_max)
-    row_weights, col_weights = matrix_attention(a, mat_a, b, mat_b)
+    row_weights, col_weights = matrix_attention(a.truncated(n_max), mat_a,
+                                                b.truncated(n_max), mat_b)
     return apply_attention(mat_a, row_weights), apply_attention(mat_b, col_weights)

@@ -109,7 +109,7 @@ def _windows(rows: np.ndarray, k: int) -> np.ndarray:
     sentence shorter than the kernel is padded with zero rows to width k.
     """
     if len(rows) < k:
-        rows = np.concatenate([rows, np.zeros((k - len(rows), rows.shape[1]))])
+        rows = np.concatenate([rows, np.zeros((k - len(rows), rows.shape[1]), rows.dtype)])
     # k shifted slices side by side; a few numpy calls per sentence where
     # sliding_window_view costs more than the convolution itself
     p = len(rows) - k + 1
@@ -137,9 +137,8 @@ def stack_pairs(pairs: Sequence[tuple[np.ndarray, np.ndarray]],
     sentence's row count: the B first sentences, then the B second ones, each
     one shorter than ``k`` followed by the zero rows ``_windows`` pads it with."""
     mats = [a for a, _ in pairs] + [b for _, b in pairs]
-    pad = np.zeros((k, mats[0].shape[1]))
-    rows = np.concatenate([part for mat in mats for part in
-                           ((mat,) if len(mat) >= k else (mat, pad[len(mat):]))])
+    pad = np.zeros((k, mats[0].shape[1]), mats[0].dtype)
+    rows = np.concatenate([part for mat in mats for part in (mat, pad[len(mat):])])
     return rows, np.maximum([len(mat) for mat in mats], k)
 
 

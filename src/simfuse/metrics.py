@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,18 +39,8 @@ def confusion_counts(predictions: Sequence, labels: Sequence) -> tuple[int, int,
         raise DimensionError(
             f"{len(predictions)} predictions vs {len(labels)} labels"
         )
-    tp = tn = fp = fn = 0
-    for pred, gold in zip(predictions, labels):
-        pred, gold = bool(pred), bool(gold)
-        if pred and gold:
-            tp += 1
-        elif not pred and not gold:
-            tn += 1
-        elif pred and not gold:
-            fp += 1
-        else:
-            fn += 1
-    return tp, tn, fp, fn
+    counts = Counter((bool(pred), bool(gold)) for pred, gold in zip(predictions, labels))
+    return counts[True, True], counts[False, False], counts[True, False], counts[False, True]
 
 
 def _ratio(num: float, den: float) -> float:
@@ -76,17 +67,12 @@ def prf_metrics(counts: tuple[int, int, int, int]) -> MetricReport:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks, ties sharing the average of their rank range."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_values = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    # return_index makes np.unique sort with mergesort, so each NaN (never
+    # equal to another) keeps its input order, as a stable argsort does
+    _, _, inverse, counts = np.unique(values, return_index=True, return_inverse=True,
+                                      return_counts=True, equal_nan=False)
+    ends = np.cumsum(counts)
+    return ((ends - counts + 1 + ends) / 2.0)[inverse]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:

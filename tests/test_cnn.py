@@ -320,6 +320,10 @@ class TestWindows:
             assert got.flags["C_CONTIGUOUS"]
             np.testing.assert_array_equal(got, expected)
 
+    def test_padding_keeps_the_input_dtype(self):
+        got = _windows(np.ones((1, 2), dtype=np.float32), 3)
+        assert got.dtype == np.float32 and got.tolist() == [[1.0, 1.0, 0.0, 0.0, 0.0, 0.0]]
+
 
 class TestGradients:
     def test_gradient_check_small_instances(self):
@@ -381,6 +385,14 @@ def test_loss_and_gradients_refuses_a_stack_its_lengths_do_not_describe(small_pa
             (rows[:4], lengths, [1.0])]:   # rows the lengths do not add up to
         with pytest.raises(ValueError, match="sentences of >= 2 rows"):
             loss_and_gradients(small_params, bad_rows, bad_lengths, labels)
+
+
+def test_stack_pairs_keeps_the_input_dtype_when_it_pads():
+    a = np.ones((3, 2), dtype=np.float32)
+    b = np.full((1, 2), 2.0, dtype=np.float32)
+    rows, lengths = stack_pairs([(a, b)], 2)
+    assert rows.dtype == np.float32 and lengths.tolist() == [3, 2]
+    assert rows.tolist() == [[1.0, 1.0]] * 3 + [[2.0, 2.0], [0.0, 0.0]]
 
 
 class TestBatchAgainstPerPairOracle:

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from simfuse.errors import DimensionError, EmptyEval, UndefinedCorrelation
-from simfuse.metrics import confusion_counts, prf_metrics, rank_correlations
+from simfuse.metrics import _average_ranks, confusion_counts, prf_metrics, rank_correlations
 
 
 def _brute_force_counts(preds, labels):
@@ -12,6 +12,38 @@ def _brute_force_counts(preds, labels):
     fp = sum(1 for p, l in zip(preds, labels) if p and not l)
     fn = sum(1 for p, l in zip(preds, labels) if not p and l)
     return tp, tn, fp, fn
+
+
+def _loop_counts(predictions, labels):
+    """Confusion counts by one branch per pair: the reference loop."""
+    tp = tn = fp = fn = 0
+    for pred, gold in zip(predictions, labels):
+        pred, gold = bool(pred), bool(gold)
+        if pred and gold:
+            tp += 1
+        elif not pred and not gold:
+            tn += 1
+        elif pred and not gold:
+            fp += 1
+        else:
+            fn += 1
+    return tp, tn, fp, fn
+
+
+def _loop_ranks(values):
+    """Average-tie ranks by a stable argsort and a scan over each run of
+    equal values: the reference loop."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    sorted_values = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 class TestConfusionCounts:
@@ -33,6 +65,17 @@ class TestConfusionCounts:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             confusion_counts([1], [1, 0])
+
+    def test_matches_the_loop_on_bool_arrays_and_other_truthy_values(self):
+        rng = np.random.default_rng(75)
+        values = [True, False, 1, 0, 0.7, 0.0, "", "x", None, [], [0], np.float64(-0.0)]
+        for _ in range(300):
+            n = int(rng.integers(0, 25))
+            preds, labels = rng.integers(0, 2, size=(2, n)).astype(bool)
+            assert confusion_counts(preds, labels) == _loop_counts(preds, labels)
+            preds = [values[i] for i in rng.integers(0, len(values), size=n)]
+            labels = [values[i] for i in rng.integers(0, len(values), size=n)]
+            assert confusion_counts(preds, labels) == _loop_counts(preds, labels)
 
 
 class TestPrfMetrics:
@@ -74,6 +117,26 @@ class TestPrfMetrics:
             if r.precision + r.recall:
                 assert r.f1 == pytest.approx(
                     2 * r.precision * r.recall / (r.precision + r.recall))
+
+
+class TestAverageRanks:
+    def test_matches_the_loop_bitwise_with_ties_signed_zeros_inf_and_nan(self):
+        rng = np.random.default_rng(76)
+        pool = np.array([0.0, -0.0, 1.5, -1.5, 2.0, np.inf, -np.inf, np.nan])
+        for _ in range(2000):
+            n = int(rng.integers(0, 20))
+            values = np.where(rng.random(n) < 0.7, pool[rng.integers(0, len(pool), size=n)],
+                              rng.standard_normal(n))
+            got, expected = _average_ranks(values), _loop_ranks(values)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_nans_rank_last_in_their_input_order(self):
+        ranks = _average_ranks(np.array([np.nan, 2.0, -0.0, np.nan, 0.0]))
+        assert ranks.tolist() == [4.0, 3.0, 1.5, 5.0, 1.5]
+        # past 16 values an unstable sort no longer keeps the NaNs in order
+        values = np.where(np.arange(40) % 3 == 0, np.nan, np.arange(40) * 7 % 5 - 2.0)
+        nans = np.isnan(values)
+        assert _average_ranks(values)[nans].tolist() == list(range(41 - nans.sum(), 41))
 
 
 class TestRankCorrelations:

@@ -1,5 +1,5 @@
-"""Digests of everything ``simfuse train`` and ``simfuse score`` write, for
-checking that a change keeps every output byte.
+"""Digests of everything ``simfuse train``, ``simfuse score`` and ``simfuse
+eval`` write, for checking that a change keeps every output byte.
 
 Usage::
 
@@ -21,9 +21,14 @@ benchmark's batch shapes, which changes ``train``'s bits with the thread
 count.  Each case's test split is also scored with a v1 copy of the
 trained bundle: its ``cnn.params``, ``fusion.params`` and ``stats.tsv`` plus
 the case's input embeddings as ``embeddings.txt``, with no manifest, so that
-the v1 read path is compared too.  It prints one ``sha256  case/file`` line for every bundle file, the
-``train`` stdout, the ``score`` stdout and the v1 ``score`` stdout
-(``score-v1.stdout``): 72 lines.  Run it on two checkouts and ``diff`` the
+the v1 read path is compared too.  Each case's test split is also evaluated
+with ``eval`` (``eval.stdout``), and the two ``tests/test_cli.py`` cases
+evaluate a graded copy of its four pairs, labelled 4.8, 4.1, 0.6 and 1.3,
+with ``eval --graded`` (``eval-graded.stdout``), so that the confusion
+counts and the rank correlations are compared too.  It prints one
+``sha256  case/file`` line for every bundle file, the ``train`` stdout, the
+``score`` stdout, the v1 ``score`` stdout (``score-v1.stdout``) and the
+``eval`` stdouts: 82 lines.  Run it on two checkouts and ``diff`` the
 outputs; the same bytes give an empty diff.  Nothing under ``perfbench/`` or
 ``SRC_DIR`` is written: children run without bytecode caches.
 """
@@ -52,6 +57,12 @@ CLI_PAIRS = """1\tred apple\tred apple\t1
 """
 CLI_VOCAB = ["red", "apple", "green", "pear", "blue", "fish",
              "yellow", "bird", "cold", "snow", "hot", "sand"]
+# the same four pairs with graded labels, for ``eval --graded``
+CLI_GRADED_PAIRS = """1\tred apple\tred apple\t4.8
+2\tgreen pear\tgreen pear\t4.1
+3\tblue fish\tyellow bird\t0.6
+4\tcold snow\thot sand\t1.3
+"""
 CLI_TABLE_SEED = 101
 CLI_CONFIG = "epochs = 5\nseed = 7\n"
 # the bundle files a v1 bundle shares with v2, byte for byte
@@ -71,8 +82,8 @@ def _digest(data: bytes) -> str:
 
 
 def _write_cli_inputs(inputs: Path) -> None:
-    """The tests/test_cli.py example as ``train.tsv`` (also ``test.tsv``) and
-    ``embeddings.txt``."""
+    """The tests/test_cli.py example as ``train.tsv`` (also ``test.tsv``),
+    ``embeddings.txt`` and its graded copy ``graded.tsv``."""
     inputs.mkdir()
     rng = np.random.default_rng(CLI_TABLE_SEED)
     lines = [f"{len(CLI_VOCAB)} 4"]
@@ -81,6 +92,7 @@ def _write_cli_inputs(inputs: Path) -> None:
     (inputs / "embeddings.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     for split in ("train.tsv", "test.tsv"):
         (inputs / split).write_text(CLI_PAIRS, encoding="utf-8")
+    (inputs / "graded.tsv").write_text(CLI_GRADED_PAIRS, encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
@@ -127,11 +139,19 @@ def main(argv: list[str]) -> int:
                 score_v1_out = _run(["-m", "simfuse.cli", "score", "--model", str(v1),
                                      "--pairs", str(inputs / "test.tsv"), "--config", str(cfg)],
                                     env)
+                evals = {"eval": _run(["-m", "simfuse.cli", "eval", "--model", str(model),
+                                       "--pairs", str(inputs / "test.tsv")], env)}
+                if name == "cli_example":
+                    evals["eval-graded"] = _run(
+                        ["-m", "simfuse.cli", "eval", "--model", str(model), "--pairs",
+                         str(inputs / "graded.tsv"), "--graded"], env)
                 for path in sorted(model.iterdir()):
                     print(f"{_digest(path.read_bytes())}  {case}/{path.name}")
                 print(f"{_digest(train_out)}  {case}/train.stdout")
                 print(f"{_digest(score_out)}  {case}/score.stdout")
-                print(f"{_digest(score_v1_out)}  {case}/score-v1.stdout", flush=True)
+                print(f"{_digest(score_v1_out)}  {case}/score-v1.stdout")
+                for label, out in evals.items():
+                    print(f"{_digest(out)}  {case}/{label}.stdout", flush=True)
     return 0
 
 
