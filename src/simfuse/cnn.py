@@ -18,10 +18,19 @@ at a time, on the row store that ``_row_store`` builds and describes;
 ``loss_and_gradients`` convolves all of a batch's windows at once into one
 buffer and max-pools each sentence over its own windows, in one gather and
 one argmax.
+
+``cnn.params`` is UTF-8 text: a ``simfuse-cnn v2 F k d h`` header, a
+required ``rng_seed N`` line, then one ``name value`` line per tensor in
+``_TENSORS`` order, whose value is the padded standard base64 of the
+tensor's C-order little-endian float64 bytes, so a load decodes bytes and
+parses no decimals.  A ``simfuse-cnn v1`` file, as bundles held before,
+writes each value in ``.17g`` decimal; it still loads, through the same
+header, ``rng_seed`` and section checks, and a save writes it anew as v2.
 """
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from typing import IO, Sequence
@@ -32,8 +41,7 @@ import numpy as np
 # perfbench/tests/test_perfbench.py looks it up on this module
 from .attention import matrix_attention, weighted_pair_matrices  # noqa: F401
 from .corpus import BINARY, Dataset
-from .embedding import (EmbeddingTable, check_n_max, format_row, lookup, parse_int, parse_row,
-                        read_sections)
+from .embedding import EmbeddingTable, check_n_max, lookup, parse_int, parse_row, read_sections
 from .errors import FormatError, LabelKindError, check_int
 from .nn import (TrainConfig, bce_from_logit, central_differences, check_finite, check_head,
                  fan_in_uniform, head_logit, head_loss_and_grads, init_head, sigmoid, sgd)
@@ -44,7 +52,7 @@ DEFAULT_HIDDEN = 16
 DEFAULT_N_MAX = 32
 
 _CNN_MAGIC = "simfuse-cnn"
-_FORMAT_VERSION = "v1"
+_FORMAT_VERSION = "v2"
 _TENSORS = ("filters", "filter_bias", "dense_w", "dense_b", "out_w", "out_b")
 
 
@@ -312,7 +320,7 @@ def gradient_check(params: CnnParams, example: tuple[np.ndarray, np.ndarray, flo
 
 
 def save_cnn_params(params: CnnParams, stream: IO[str]) -> None:
-    """Versioned text serialization; round-trips float64 bitwise."""
+    """Versioned text serialization (v2, base64 float64); round-trips float64 bitwise."""
     header = (
         f"{_CNN_MAGIC} {_FORMAT_VERSION} {params.n_filters} "
         f"{params.kernel_width} {params.dim} {params.hidden}"
@@ -320,17 +328,47 @@ def save_cnn_params(params: CnnParams, stream: IO[str]) -> None:
     stream.write(header + "\n")
     stream.write(f"rng_seed {params.rng_seed}\n")
     for name in _TENSORS:
-        stream.write(format_row(name, getattr(params, name)))
+        data = np.asarray(getattr(params, name), dtype="<f8").tobytes()  # C order
+        stream.write(f"{name} {base64.b64encode(data).decode('ascii')}\n")
+
+
+def _parse_base64(text: str, lineno: int, expected_count: int) -> np.ndarray:
+    """The float64 values of a v2 section; FormatError naming ``lineno`` on a
+    length other than ``expected_count`` values encode to (checked before any
+    decoding, so a header cannot make it allocate more than the file holds),
+    on text that is not padded standard base64 or whose padding gives another
+    byte count, or on a non-finite value."""
+    length = 4 * -(-8 * expected_count // 3)
+    if len(text) != length:
+        raise FormatError(f"line {lineno}: expected {expected_count} values as {length} "
+                          f"base64 characters, got {len(text)}")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character that is not ASCII
+        raise FormatError(f"line {lineno}: not padded standard base64") from None
+    if len(data) != 8 * expected_count:
+        raise FormatError(f"line {lineno}: expected {expected_count} values, got {len(data)} "
+                          "bytes")
+    values = np.frombuffer(data, dtype="<f8").astype(np.float64)  # writable, native order
+    if not np.isfinite(values).all():
+        raise FormatError(f"line {lineno}: non-finite value")
+    return values
+
+
+# each format version's value parser: v1 wrote .17g decimals
+_VALUE_PARSERS = {"v1": parse_row, _FORMAT_VERSION: _parse_base64}
 
 
 def load_cnn_params(stream: IO[str]) -> CnnParams:
+    """Read a v2 or v1 ``cnn.params``; FormatError naming the line on any fault."""
     lines = [(lineno, line.strip()) for lineno, line in enumerate(stream, start=1)
              if line.strip()]
     if not lines:
         raise FormatError("empty CNN parameter file")
     header = lines[0][1].split()
-    if len(header) != 6 or header[0] != _CNN_MAGIC or header[1] != _FORMAT_VERSION:
+    if len(header) != 6 or header[0] != _CNN_MAGIC or header[1] not in _VALUE_PARSERS:
         raise FormatError(f"bad CNN parameter header: {lines[0][1]!r}")
+    parse_values = _VALUE_PARSERS[header[1]]
     n_filters, kernel_width, dim, hidden = sizes = [
         parse_int(x, lines[0][0], "a header size") for x in header[2:]]
     if min(sizes) < 1:
@@ -346,7 +384,7 @@ def load_cnn_params(stream: IO[str]) -> CnnParams:
     sections = read_sections(lines[1:], ("rng_seed",) + _TENSORS, "CNN parameter")
     seed_lineno, seed_text = sections.pop("rng_seed")
     seed = parse_int(seed_text, seed_lineno, "rng_seed")
-    tensors = {name: parse_row(rest, lineno, math.prod(shapes[name])).reshape(shapes[name])
+    tensors = {name: parse_values(rest, lineno, math.prod(shapes[name])).reshape(shapes[name])
                for name, (lineno, rest) in sections.items()}
     out_b = float(tensors.pop("out_b")[0])
     return CnnParams(**tensors, out_b=out_b, rng_seed=seed)

@@ -6,11 +6,14 @@ each scorer's standalone metric over the training pairs themselves; the
 paper calibrates them on a validation split (ROADMAP aim 3).
 
 A model bundle is a directory.  ``save_bundle`` writes format v2:
-``cnn.params``, ``fusion.params`` and ``stats.tsv`` (text), the embedding
-table as ``vocab.txt`` (the sorted surfaces) plus ``embeddings.npy`` (their
-rows, float64), and ``manifest.tsv`` (the format version, ``n_max`` and a
-sha256 per other file).  A v1 bundle, the same three text files plus the
-table as word2vec text in ``embeddings.txt`` and no manifest, still loads.
+``cnn.params`` (text holding each tensor's float64 bytes in base64),
+``fusion.params`` and ``stats.tsv`` (text), the embedding table as
+``vocab.txt`` (the sorted surfaces) plus ``embeddings.npy`` (their rows,
+float64), and ``manifest.tsv`` (the format version, ``n_max`` and a sha256
+per other file).  A v1 bundle, the same three text files plus the table as
+word2vec text in ``embeddings.txt`` and no manifest, still loads, and so
+does a ``cnn.params`` with decimal values (``simfuse-cnn v1``), as bundles of
+either version held before; a save over either writes it anew.
 ``load_bundle`` reads each file once and hashes a v2 file as it parses it.
 """
 
@@ -195,6 +198,8 @@ MANIFEST, VOCAB, MATRIX = "manifest.tsv", "vocab.txt", "embeddings.npy"
 V1_EMBEDDINGS = "embeddings.txt"
 _HASH_BLOCK = 1 << 20
 _HEX_DIGEST = re.compile("[0-9a-f]{64}")
+# the characters str.splitlines, and so load_vocab, breaks a line at
+_LINE_BREAK = re.compile("[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 
 # the files manifest.tsv holds a sha256 of, in its order
 HASHED_FILES = ("cnn.params", "fusion.params", "stats.tsv", VOCAB, MATRIX)
@@ -267,7 +272,7 @@ def save_bundle(bundle: ModelBundle, directory: str | Path) -> None:
     """
     surfaces = sorted(bundle.table.vectors)
     vocab = "".join(f"{surface}\n" for surface in surfaces)
-    if vocab.splitlines() != surfaces:
+    if _LINE_BREAK.search("".join(surfaces)):
         bad = next(s for s in surfaces if f"{s}\n".splitlines() != [s])
         raise FormatError(f"{VOCAB}: surface {bad!r} holds a line break")
     directory = Path(directory).resolve()  # so created lists what mkdir makes, ".." or not

@@ -24,18 +24,32 @@ from simfuse.fusion import (LEARNED, WEIGHTED_SUM, FusionNet, FusionParams,
 from simfuse.pipeline import ModelBundle, load_bundle, save_bundle
 from simfuse.tfidf import CorpusStats, build_stats
 
-from toy import DEFAULT_WEIGHTS, separable_toy_set
+from toy import DEFAULT_WEIGHTS, save_decimal_cnn_params, separable_toy_set
+
+# cnn.params as bundles held it before its values moved to base64: each
+# value in .17g decimal, the form a v1 bundle holds and a v2 bundle may hold
+DECIMAL_CNN_PARAMS = (
+    "simfuse-cnn v1 1 2 2 2\n"
+    "rng_seed 7\n"
+    "filters 0.5 -1.25 0.10000000000000001 3\n"
+    "filter_bias 2.5000000000000002e-10\n"
+    "dense_w 1 -2 0.25 4\n"
+    "dense_b 0 -0.5\n"
+    "out_w 1.5 -1\n"
+    "out_b 0.75\n"
+)
+DECIMAL_CNN_PARAMS_SHA256 = "c7003c1352ff8cbc3a109399313462c3426cbfb536f2a070011649598e02024d"
 
 GOLDEN = {
-    "cnn.params": (
-        "simfuse-cnn v1 1 2 2 2\n"
+    "cnn.params": (  # each tensor's little-endian float64 bytes, base64
+        "simfuse-cnn v2 1 2 2 2\n"
         "rng_seed 7\n"
-        "filters 0.5 -1.25 0.10000000000000001 3\n"
-        "filter_bias 2.5000000000000002e-10\n"
-        "dense_w 1 -2 0.25 4\n"
-        "dense_b 0 -0.5\n"
-        "out_w 1.5 -1\n"
-        "out_b 0.75\n"
+        "filters AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAACEA=\n"
+        "filter_bias ldYm6Asu8T0=\n"
+        "dense_w AAAAAAAA8D8AAAAAAAAAwAAAAAAAANA/AAAAAAAAEEA=\n"
+        "dense_b AAAAAAAAAAAAAAAAAADgvw==\n"
+        "out_w AAAAAAAA+D8AAAAAAADwvw==\n"
+        "out_b AAAAAAAA6D8=\n"
     ),
     "fusion.params": (
         "simfuse-fusion v1\n"
@@ -61,7 +75,7 @@ GOLDEN = {
     "manifest.tsv": (
         "simfuse-bundle v2\n"
         "n_max\t32\n"
-        "sha256\tcnn.params\tc7003c1352ff8cbc3a109399313462c3426cbfb536f2a070011649598e02024d\n"
+        "sha256\tcnn.params\t47fa94d916cce1db5d2e98a481d792c19a5c1602b91d782319b7c2018c561e1d\n"
         "sha256\tfusion.params\t3d2d748892cb2c6380d48f8dda2e02e20e42778900da450ae81232d8ebe13a76\n"
         "sha256\tstats.tsv\t25c1f95865c3ebdc7bd44c57f4639b8107275383021271be7edb6a1d1223c3cf\n"
         "sha256\tvocab.txt\t911169ddaaf146aff539f58c26c489af3b892dff0fe283c1c264c65ae5aa59a2\n"
@@ -77,7 +91,12 @@ V1_EMBEDDINGS_TEXT = (
 )
 V2_ONLY = ("manifest.tsv", "vocab.txt", "embeddings.npy")
 V1_GOLDEN = {name: golden for name, golden in GOLDEN.items() if name not in V2_ONLY}
+V1_GOLDEN["cnn.params"] = DECIMAL_CNN_PARAMS
 V1_GOLDEN["embeddings.txt"] = V1_EMBEDDINGS_TEXT
+# a v2 bundle as written before cnn.params moved to base64
+DECIMAL_V2_GOLDEN = {**GOLDEN, "cnn.params": DECIMAL_CNN_PARAMS,
+                     "manifest.tsv": re.sub("(?<=\tcnn.params\t)[0-9a-f]{64}",
+                                            DECIMAL_CNN_PARAMS_SHA256, GOLDEN["manifest.tsv"])}
 
 
 def _bytes(golden) -> bytes:
@@ -85,11 +104,14 @@ def _bytes(golden) -> bytes:
 
 
 def save_v1_bundle(bundle, directory):
-    """A v1 bundle: save_bundle's three parameter files, which v1 and v2
-    share byte for byte, plus the table as word2vec text in embeddings.txt."""
+    """A v1 bundle: save_bundle's fusion.params and stats.tsv, which v1 and v2
+    share byte for byte, cnn.params in the decimal form v1 bundles hold, and
+    the table as word2vec text in embeddings.txt."""
     save_bundle(bundle, directory)
     for name in V2_ONLY:
         (directory / name).unlink()
+    with open(directory / "cnn.params", "w", encoding="utf-8", newline="\n") as f:
+        save_decimal_cnn_params(bundle.cnn_params, f)
     with open(directory / "embeddings.txt", "w", encoding="utf-8", newline="\n") as f:
         save_text_embeddings(bundle.table, f)
 
@@ -159,6 +181,31 @@ class TestGoldenFormat:
             for name, golden in files.items():
                 (tmp_path / version / name).write_bytes(_bytes(golden))
             self._assert_is_the_tiny_bundle(load_bundle(tmp_path / version))
+
+    # bundles written before cnn.params moved to base64, v1 and v2, still load
+    def test_a_decimal_cnn_params_loads_back_bitwise(self, tmp_path):
+        assert hashlib.sha256(_bytes(DECIMAL_CNN_PARAMS)).hexdigest() == DECIMAL_CNN_PARAMS_SHA256
+        for version, files in (("v2", DECIMAL_V2_GOLDEN), ("v1", V1_GOLDEN)):
+            (tmp_path / version).mkdir()
+            for name, golden in files.items():
+                (tmp_path / version / name).write_bytes(_bytes(golden))
+            self._assert_is_the_tiny_bundle(load_bundle(tmp_path / version))
+
+    def test_save_decimal_cnn_params_writes_the_decimal_golden(self):
+        stream = io.StringIO()
+        save_decimal_cnn_params(tiny_bundle().cnn_params, stream)
+        assert stream.getvalue() == DECIMAL_CNN_PARAMS
+
+    # a save over a bundle with a decimal cnn.params (train --out's) writes
+    # it anew in base64
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_a_save_over_a_decimal_cnn_params_writes_it_as_v2(self, tmp_path, version):
+        for name, golden in (V1_GOLDEN if version == "v1" else DECIMAL_V2_GOLDEN).items():
+            (tmp_path / name).write_bytes(_bytes(golden))
+        save_bundle(tiny_bundle(), tmp_path)
+        for name, golden in GOLDEN.items():
+            assert (tmp_path / name).read_bytes() == _bytes(golden), name
+        self._assert_is_the_tiny_bundle(load_bundle(tmp_path))
 
     @staticmethod
     def _assert_is_the_tiny_bundle(got):
@@ -518,6 +565,11 @@ def _non_utf8(path):
     path.write_bytes(data[:5] + b"\xff" + data[6:])
 
 
+def _v2_filters(new):
+    """A corruption of a v2 cnn.params that replaces the filters' base64 with ``new``."""
+    return _replace("filters AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAACEA=\n", f"filters {new}\n")
+
+
 def _dim_4_cnn_params(path):
     """CNN parameters of dimension 4, for the dimension-2 table of tiny_bundle."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -581,7 +633,7 @@ CORRUPTIONS = [
      "fusion.params: missing fusion net sections: ['hidden_b']"),
     ("cnn_dimension_mismatch", "v1", "cnn.params", _dim_4_cnn_params,
      "cnn.params: CNN filters of dimension 4 do not match the embedding table's dimension 2"),
-    ("cnn_empty", "v1", "cnn.params", _replace(GOLDEN["cnn.params"], ""),
+    ("cnn_empty", "v1", "cnn.params", _replace(V1_GOLDEN["cnn.params"], ""),
      "cnn.params: empty CNN parameter file"),
     ("fusion_header_only", "v1", "fusion.params",
      _replace(GOLDEN["fusion.params"], "simfuse-fusion v1\n"),
@@ -605,7 +657,8 @@ CORRUPTIONS = [
      "embeddings.npy: sha256 does not match manifest.tsv"),
     *[(f"v2_embeddings.npy_flipped_after_a_bad_{other}", "v2", "embeddings.npy",
        _after(other, _rehashed(bad), _flip), "embeddings.npy: sha256 does not match manifest.tsv")
-      for other, bad in (("cnn.params", _replace("filters 0.5 ", "filters abc ")),
+      for other, bad in (("cnn.params",
+                          _v2_filters("!AAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAACEA=")),
                          ("vocab.txt", lambda p: p.write_text("a\na\n")))],
     ("v2_manifest_truncated", "v2", "manifest.tsv", _truncate,
      "manifest.tsv: line 5: expected n_max<TAB>N or sha256<TAB>file<TAB>64 hex digits"),
@@ -637,6 +690,34 @@ CORRUPTIONS = [
      "manifest.tsv: line 6: repeated sha256 line for stats.tsv"),
     ("v2_cnn_dimension_mismatch", "v2", "cnn.params", _rehashed(_dim_4_cnn_params),
      "cnn.params: CNN filters of dimension 4 do not match the embedding table's dimension 2"),
+    # v2 cnn.params, rehashed: base64 of a length other than the header's
+    # sizes give, text that is not base64, and a non-finite value
+    ("v2_cnn_base64_too_short", "v2", "cnn.params",
+     _rehashed(_v2_filters("AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAA")),
+     "cnn.params: line 3: expected 4 values as 44 base64 characters, got 40"),
+    # the right length, but padded as the base64 of 31 bytes, or unpadded as that of 33
+    ("v2_cnn_padding_of_fewer_bytes", "v2", "cnn.params",
+     _rehashed(_v2_filters("AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAACA==")),
+     "cnn.params: line 3: expected 4 values, got 31 bytes"),
+    ("v2_cnn_no_padding_of_more_bytes", "v2", "cnn.params",
+     _rehashed(_v2_filters("AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAACEAA")),
+     "cnn.params: line 3: expected 4 values, got 33 bytes"),
+    ("v2_cnn_header_larger_than_the_file", "v2", "cnn.params",
+     _rehashed(_replace("simfuse-cnn v2 1 2 2 2", "simfuse-cnn v2 1000000 1000 1000 2")),
+     "cnn.params: line 3: expected 1000000000000 values as 10666666666668 base64 characters, "
+     "got 44"),
+    ("v2_cnn_not_base64", "v2", "cnn.params",
+     _rehashed(_v2_filters("AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAAC=A=")),
+     "cnn.params: line 3: not padded standard base64"),
+    ("v2_cnn_characters_outside_base64", "v2", "cnn.params",
+     _rehashed(_v2_filters("AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAA!!!!")),
+     "cnn.params: line 3: not padded standard base64"),
+    ("v2_cnn_not_ascii", "v2", "cnn.params",
+     _rehashed(_v2_filters("AAAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAACEé=")),
+     "cnn.params: line 3: not padded standard base64"),
+    ("v2_cnn_nan", "v2", "cnn.params",
+     _rehashed(_v2_filters("AAAAAAAA+H8AAAAAAAD0v5qZmZmZmbk/AAAAAAAACEA=")),
+     "cnn.params: line 3: non-finite value"),
     # v2, with a matching sha256: only the content checks stand in the way
     ("v2_npy_object_dtype", "v2", "embeddings.npy",
      _rehashed(lambda p: np.save(p, np.array([[1.0, 3.0], [0.1, -2.0]], dtype=object),
@@ -802,7 +883,8 @@ def _nan_first_value(path):
 # parsed or while it is, reads embeddings.npy once too
 @pytest.mark.parametrize("name, corrupt, message", [
     (None, None, None),
-    ("cnn.params", _replace("filters 0.5 ", "filters abc "), "line 3: non-numeric value"),
+    ("cnn.params", _v2_filters("!AAAAAAA4D8AAAAAAAD0v5qZmZmZmbk/AAAAAAAACEA="),
+     "line 3: not padded standard base64"),
     ("embeddings.npy", _nan_first_value, "non-finite value in the row of 'w0'"),
 ], ids=["clean", "bad_cnn_params", "bad_embeddings_npy"])
 def test_load_bundle_opens_and_reads_each_file_once(tmp_path, monkeypatch, name, corrupt,

@@ -1,6 +1,8 @@
+import base64
 import io
 import math
 import re
+import struct
 import tracemalloc
 from dataclasses import replace
 
@@ -16,10 +18,10 @@ from simfuse.cnn import (DEFAULT_N_MAX, CnnParams, TrainConfig, _row_store, _win
                          save_cnn_params, stack_pairs)
 from simfuse.corpus import BINARY, GRADED, Dataset, LabeledPair, Sentence
 from simfuse.embedding import EmbeddingTable, embed_sentence
-from simfuse.errors import ConfigError, DegenerateData, LabelKindError
+from simfuse.errors import ConfigError, DegenerateData, FormatError, LabelKindError
 from simfuse.nn import bce_from_logit, bce_loss_and_dlogits, sgd, sigmoid
 
-from toy import separable_toy_set, toy_table
+from toy import save_decimal_cnn_params, separable_toy_set, toy_table
 
 
 def _matrix(rows):
@@ -700,7 +702,7 @@ class TestPersistence:
         save_cnn_params(params, first)
         save_cnn_params(params, second)
         assert first.getvalue() == second.getvalue()
-        assert first.getvalue().startswith("simfuse-cnn v1 2 2 2 2\n")
+        assert first.getvalue().startswith("simfuse-cnn v2 2 2 2 2\n")
 
     def test_rejects_bad_header(self):
         from simfuse.errors import FormatError
@@ -716,6 +718,87 @@ class TestPersistence:
         from simfuse.errors import FormatError
         with pytest.raises(FormatError):
             load_cnn_params(io.StringIO(clipped))
+
+
+def _edge_params(rng):
+    """CnnParams of sizes 1-5 whose values mix normals, finite random bit
+    patterns, ±0.0, subnormals and ±the largest float64."""
+    f, k, d, h = rng.integers(1, 6, size=4).tolist()
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072e-308,
+                      np.finfo(float).max, -np.finfo(float).max])
+
+    def values(*shape):
+        n = math.prod(shape)
+        out = rng.integers(-2 ** 63, 2 ** 63, size=n, dtype=np.int64).view(np.float64)
+        out[~np.isfinite(out)] = 1.0
+        kind = rng.integers(0, 3, size=n)
+        out[kind == 0] = rng.standard_normal(n)[kind == 0]
+        out[kind == 1] = rng.choice(edges, size=n)[kind == 1]
+        return out.reshape(shape)
+
+    return CnnParams(values(f, k, d), values(f), values(h, 2 * f), values(h), values(h),
+                     float(values(1)[0]), rng_seed=int(rng.integers(0, 2 ** 63)))
+
+
+def _assert_bitwise_same_params(got, want):
+    for name in cnn._TENSORS:
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == np.float64 and a.shape == b.shape and a.flags.writeable, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.rng_seed == want.rng_seed
+
+
+class TestCodecProperties:
+    """Seeded properties of the cnn.params codec: what save_cnn_params writes
+    loads back bit for bit, and a cut file loads the same or is a FormatError."""
+
+    def test_seeded_params_save_and_load_back_bitwise(self):
+        rng = np.random.default_rng(2029)
+        for _ in range(200):
+            params = _edge_params(rng)
+            first, second = io.StringIO(), io.StringIO()
+            save_cnn_params(params, first)
+            save_cnn_params(params, second)
+            assert first.getvalue() == second.getvalue()
+            _assert_bitwise_same_params(load_cnn_params(io.StringIO(first.getvalue())), params)
+
+    def test_a_file_cut_at_any_offset_loads_the_same_or_is_a_format_error(self):
+        params = _edge_params(np.random.default_rng(7))
+        stream = io.StringIO()
+        save_cnn_params(params, stream)
+        text = stream.getvalue()
+        assert text.startswith("simfuse-cnn v2 ")
+        loaded = []
+        for cut in range(len(text)):
+            try:
+                back = load_cnn_params(io.StringIO(text[:cut]))
+            except FormatError:
+                continue
+            _assert_bitwise_same_params(back, params)
+            loaded.append(cut)
+        assert loaded == [len(text) - 1]  # only the final newline dropped
+
+    # the file is text: each value's bytes are written little-endian in base64
+    def test_values_are_little_endian_float64_in_base64(self):
+        params = init_params(dim=2, n_filters=1, kernel_width=1, hidden=1, seed=3)
+        stream = io.StringIO()
+        save_cnn_params(params, stream)
+        lines = dict(line.split(" ", 1) for line in stream.getvalue().splitlines()[1:])
+        assert lines["out_b"] == base64.b64encode(struct.pack("<d", params.out_b)).decode()
+        assert lines["filters"] == base64.b64encode(
+            struct.pack("<2d", *params.filters.ravel())).decode()
+
+    def test_a_decimal_v1_file_loads(self):
+        params = _edge_params(np.random.default_rng(11))
+        stream = io.StringIO()
+        save_decimal_cnn_params(params, stream)
+        _assert_bitwise_same_params(load_cnn_params(io.StringIO(stream.getvalue())), params)
+
+    @pytest.mark.parametrize("version", ["v0", "v3", "V2"])
+    def test_an_unknown_version_is_a_bad_header(self, version):
+        with pytest.raises(FormatError, match=f"^bad CNN parameter header: "
+                                              f"'simfuse-cnn {version} 1 1 1 1'$"):
+            load_cnn_params(io.StringIO(f"simfuse-cnn {version} 1 1 1 1\n"))
 
 
 class TestParamsValidation:

@@ -1,13 +1,23 @@
-"""Toy embedding tables and datasets shared by the tests."""
+"""Toy embedding tables and datasets, and the decimal cnn.params writer,
+shared by the tests."""
 
 import numpy as np
 
 from simfuse.corpus import BINARY, Dataset, LabeledPair, Sentence
-from simfuse.embedding import EmbeddingTable
+from simfuse.embedding import EmbeddingTable, format_row
 from simfuse.fusion import FusionWeights
 
 #: A fixed, valid weight triple for tests that fuse without calibrating.
 DEFAULT_WEIGHTS = FusionWeights(alpha=0.38, beta=0.40, gamma=0.22)
+
+
+def save_decimal_cnn_params(params, stream):
+    """CNN parameters as a decimal ``simfuse-cnn v1`` file, the form
+    cnn.params took before its values moved to base64."""
+    stream.write(f"simfuse-cnn v1 {params.n_filters} {params.kernel_width} {params.dim} "
+                 f"{params.hidden}\nrng_seed {params.rng_seed}\n")
+    for name in ("filters", "filter_bias", "dense_w", "dense_b", "out_w", "out_b"):
+        stream.write(format_row(name, getattr(params, name)))
 
 
 def toy_table(words, dim=16, seed=2024):

@@ -19,18 +19,24 @@ directory, with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS``,
 them): OpenBLAS splits the CNN's training matmuls over threads at the
 benchmark's batch shapes, which changes ``train``'s bits with the thread
 count.  Each case's test split is also scored with a v1 copy of the
-trained bundle: its ``cnn.params``, ``fusion.params`` and ``stats.tsv`` plus
-the case's input embeddings as ``embeddings.txt``, with no manifest, so that
-the v1 read path is compared too.  Each case's test split is also evaluated
-with ``eval`` (``eval.stdout``), and the two ``tests/test_cli.py`` cases
-evaluate a graded copy of its four pairs, labelled 4.8, 4.1, 0.6 and 1.3,
-with ``eval --graded`` (``eval-graded.stdout``), so that the confusion
-counts and the rank correlations are compared too.  It prints one
+trained bundle: its ``fusion.params`` and ``stats.tsv``, its CNN parameters
+rewritten as the decimal ``simfuse-cnn v1`` ``cnn.params`` that v1 bundles
+hold (with ``embedding.format_row`` of ``SRC_DIR``), and the case's input
+embeddings as ``embeddings.txt``, with no manifest, so that the v1 read path
+and the decimal ``cnn.params`` reader are compared too.  Each case's test
+split is also evaluated with ``eval`` (``eval.stdout``), and the two
+``tests/test_cli.py`` cases evaluate a graded copy of its four pairs,
+labelled 4.8, 4.1, 0.6 and 1.3, with ``eval --graded``
+(``eval-graded.stdout``), so that the confusion counts and the rank
+correlations are compared too.  It prints one
 ``sha256  case/file`` line for every bundle file, the ``train`` stdout, the
 ``score`` stdout, the v1 ``score`` stdout (``score-v1.stdout``) and the
 ``eval`` stdouts: 82 lines.  Run it on two checkouts and ``diff`` the
-outputs; the same bytes give an empty diff.  Nothing under ``perfbench/`` or
-``SRC_DIR`` is written: children run without bytecode caches.
+outputs; the same bytes give an empty diff.  A change of the ``cnn.params``
+encoding alone, with the same trained values, alters exactly the 8
+``cnn.params`` lines and the 8 ``manifest.tsv`` lines.  Nothing under
+``perfbench/`` or ``SRC_DIR`` is written: children run without bytecode
+caches.
 """
 
 from __future__ import annotations
@@ -66,7 +72,8 @@ CLI_GRADED_PAIRS = """1\tred apple\tred apple\t4.8
 CLI_TABLE_SEED = 101
 CLI_CONFIG = "epochs = 5\nseed = 7\n"
 # the bundle files a v1 bundle shares with v2, byte for byte
-V1_PARAM_FILES = ("cnn.params", "fusion.params", "stats.tsv")
+V1_PARAM_FILES = ("fusion.params", "stats.tsv")
+CNN_TENSORS = ("filters", "filter_bias", "dense_w", "dense_b", "out_w", "out_b")
 
 
 def _run(args: list[str], env: dict[str, str]) -> bytes:
@@ -95,6 +102,21 @@ def _write_cli_inputs(inputs: Path) -> None:
     (inputs / "graded.tsv").write_text(CLI_GRADED_PAIRS, encoding="utf-8")
 
 
+def _write_decimal_cnn_params(source: Path, dest: Path) -> None:
+    """The CNN parameters of the ``cnn.params`` at ``source`` as the decimal
+    ``simfuse-cnn v1`` file that v1 bundles hold, written to ``dest``."""
+    from simfuse.cnn import load_cnn_params
+    from simfuse.embedding import format_row
+
+    with open(source, encoding="utf-8") as f:
+        params = load_cnn_params(f)
+    with open(dest, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"simfuse-cnn v1 {params.n_filters} {params.kernel_width} {params.dim} "
+                f"{params.hidden}\nrng_seed {params.rng_seed}\n")
+        for name in CNN_TENSORS:
+            f.write(format_row(name, getattr(params, name)))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         sys.exit("usage: output_digests.py SRC_DIR")
@@ -103,6 +125,7 @@ def main(argv: list[str]) -> int:
         sys.exit(f"error: no simfuse sources under {src}")
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(PERFBENCH))
+    sys.path.insert(0, str(src))
     import workloads
 
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
@@ -134,6 +157,7 @@ def main(argv: list[str]) -> int:
                 v1.mkdir()
                 for part in V1_PARAM_FILES:
                     shutil.copyfile(model / part, v1 / part)
+                _write_decimal_cnn_params(model / "cnn.params", v1 / "cnn.params")
                 shutil.copyfile(inputs / "embeddings.txt", v1 / "embeddings.txt")
                 # a v1 bundle records no n_max: it comes from the config
                 score_v1_out = _run(["-m", "simfuse.cli", "score", "--model", str(v1),
